@@ -100,7 +100,7 @@ main(int argc, char **argv)
             if (n == 0)
                 continue;
             const std::span<const double> head(trace.data(), n);
-            const WaveletDecomposition dec = dwt.forward(head, 8);
+            const FlatDecomposition dec = dwt.forward(head, 8);
             const std::vector<double> back = dwt.inverse(dec);
             for (std::size_t i = 0; i < n; ++i)
                 max_recon = std::max(

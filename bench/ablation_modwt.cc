@@ -47,10 +47,10 @@ main(int argc, char **argv)
     RunningStats dwt_est;
     RunningStats modwt_est;
     const std::span<const double> samples(trace.data(), trace.size());
+    ScaleStats stats;
     for (std::size_t shift = 0; shift < 128; ++shift) {
         const auto window = samples.subspan(base + shift, kWindow);
-        const auto stats =
-            computeScaleStats(dwt.forward(window, kLevels));
+        computeScaleStats(dwt.forward(window, kLevels), stats);
         dwt_est.push(stats.subbandVariance[kResonantLevel]);
         const auto nu = modwt.waveletVariance(window, kLevels);
         modwt_est.push(nu[kResonantLevel]);

@@ -58,7 +58,7 @@ main(int argc, char **argv)
 
     // Scalogram (paper Figure 4, bottom).
     const Dwt dwt(WaveletBasis::haar());
-    const WaveletDecomposition dec = dwt.forward(window, 8);
+    const FlatDecomposition dec = dwt.forward(window, 8);
     const Scalogram scalogram(dec);
     std::printf("\nscalogram (detail coefficients, darker = larger "
                 "|d[j,k]|):\n");

@@ -51,11 +51,8 @@ dwtCoefficients95(const std::vector<double> &x)
     const Dwt dwt(WaveletBasis::haar());
     const auto dec = dwt.forward(x, 8);
     std::vector<double> energies;
-    for (const auto &level : dec.details)
-        for (double d : level)
-            energies.push_back(d * d);
-    for (double a : dec.approximation)
-        energies.push_back(a * a);
+    for (double c : dec.coefficients())
+        energies.push_back(c * c);
     return coefficientsFor95(std::move(energies));
 }
 

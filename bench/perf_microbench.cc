@@ -58,12 +58,11 @@ BM_DwtForward(benchmark::State &state)
 BENCHMARK(BM_DwtForward)->RangeMultiplier(4)->Range(64, 65536)->Complexity();
 
 /**
- * The same forward transform through the flat-layout in-place API with
- * a reused decomposition and workspace: after the first iteration the
- * loop body never touches the allocator. Compare against BM_DwtForward
- * at the same size for the allocation cost of the legacy API; on
- * window-sized signals (the per-window hot path of the analysis model)
- * the workspace path is expected to be >= 2x faster.
+ * The same forward transform through the in-place API with a reused
+ * decomposition and workspace: after the first iteration the loop body
+ * never touches the allocator. Compare against BM_DwtForward at the
+ * same size for the cost of allocating a fresh decomposition and
+ * workspace per call.
  */
 void
 BM_DwtForwardWorkspace(benchmark::State &state)

@@ -67,9 +67,9 @@ main(int argc, char **argv)
     std::vector<double> scale_var(8, 0.0);
     std::size_t windows = 0;
     const std::span<const double> samples(trace.data(), trace.size());
+    ScaleStats stats;
     for (std::size_t off = 0; off + 256 <= trace.size(); off += 256) {
-        const auto stats =
-            computeScaleStats(dwt.forward(samples.subspan(off, 256), 8));
+        computeScaleStats(dwt.forward(samples.subspan(off, 256), 8), stats);
         for (std::size_t j = 0; j < 8; ++j)
             scale_var[j] += stats.subbandVariance[j];
         ++windows;

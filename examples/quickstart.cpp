@@ -53,7 +53,7 @@ main()
     const Dwt dwt(WaveletBasis::haar());
     std::vector<double> window(trace.begin() + 20000,
                                trace.begin() + 20000 + 256);
-    const WaveletDecomposition dec = dwt.forward(window, 8);
+    const FlatDecomposition dec = dwt.forward(window, 8);
     std::cout << "== Scalogram of a 256-cycle gzip window (Figure 4) ==\n";
     Scalogram(dec).renderAscii(std::cout, 96);
     std::cout << '\n';

@@ -4,7 +4,9 @@
 # result document through a didt_serve daemon must reproduce the file
 # byte for byte — at --jobs 1 and --jobs 4, and with socket failpoints
 # armed (the faulted request becomes a per-request error; the daemon
-# still drains cleanly and exits 0 on SIGTERM).
+# still drains cleanly and exits 0 on SIGTERM). A spec the wavelet
+# analysis cannot run (--levels 12 on a 256-cycle window) must come
+# back as a typed bad_request while the daemon keeps serving.
 #
 #   BUILD_DIR=build scripts/serve_smoke.sh
 #
@@ -127,6 +129,25 @@ grep -q "bad_request" "$WORK/fault.err"
 cmp "$WORK/campaign.json" "$WORK/replay_retry.json"
 echo "faulted request was a per-request error; retry is byte-identical"
 stop_server
+
+echo "=== bad spec leg (--levels 12 on a 256-cycle window) ==="
+start_server --jobs 2
+# 2^12 does not divide 256: a typed per-request error (client exit 3),
+# never a daemon exit.
+status=0
+"$CLIENT" characterize --socket "$SOCK" --benchmarks gzip \
+    --instructions 20000 --window 256 --levels 12 \
+    --out "$WORK/bad_spec.json" 2> "$WORK/bad_spec.err" || status=$?
+if [[ $status -ne 3 ]]; then
+    echo "FAIL: bad-spec characterize exited $status, want 3" >&2
+    cat "$WORK/bad_spec.err" >&2
+    exit 1
+fi
+grep -q "bad_request" "$WORK/bad_spec.err"
+# The daemon survived: it still answers, then drains to exit 0.
+"$CLIENT" ping --socket "$SOCK"
+stop_server
+echo "bad spec was a per-request error; the daemon kept serving"
 
 echo "=== live telemetry leg (watch / stats --prom / events) ==="
 METRICS_CHECK="$BUILD_DIR/tools/didt_metrics_check"

@@ -73,8 +73,9 @@ WaveletMonitor::WaveletMonitor(std::span<const double> impulse_response,
         tailWeight_ += z[m];
 
     const Dwt dwt(WaveletBasis::haar());
-    const WaveletDecomposition gamma = dwt.forward(reversed, levels_);
+    const FlatDecomposition gamma = dwt.forward(reversed, levels_);
     const std::vector<CoefficientRef> ranked = rankCoefficients(gamma);
+    const std::span<const double> gamma_approx = gamma.approximation();
 
     // The approximation terms are always retained: they carry the IR
     // drop, and the paper's shift-register implementation (Figure 14)
@@ -82,8 +83,8 @@ WaveletMonitor::WaveletMonitor(std::span<const double> impulse_response,
     // terms. Remaining slots are filled by decreasing |weight|.
     const std::size_t keep = std::min(terms, ranked.size());
     terms_.reserve(keep);
-    for (std::size_t k = 0; k < gamma.approximation.size() && terms_.size() < keep; ++k)
-        terms_.push_back(Term{levels_, k, gamma.approximation[k]});
+    for (std::size_t k = 0; k < gamma_approx.size() && terms_.size() < keep; ++k)
+        terms_.push_back(Term{levels_, k, gamma_approx[k]});
     for (const CoefficientRef &ref : ranked) {
         if (terms_.size() >= keep)
             break;
@@ -94,15 +95,14 @@ WaveletMonitor::WaveletMonitor(std::span<const double> impulse_response,
 
     // Worst-case error: reconstruct the kept part of the kernel and
     // take the L1 norm of what was dropped.
-    WaveletDecomposition kept = gamma;
-    for (auto &lvl : kept.details)
-        std::fill(lvl.begin(), lvl.end(), 0.0);
-    std::fill(kept.approximation.begin(), kept.approximation.end(), 0.0);
+    FlatDecomposition kept = gamma;
+    const std::span<double> kept_coeffs = kept.coefficients();
+    std::fill(kept_coeffs.begin(), kept_coeffs.end(), 0.0);
     for (const Term &t : terms_) {
         if (t.level == levels_)
-            kept.approximation[t.k] = gamma.approximation[t.k];
+            kept.approximation()[t.k] = gamma_approx[t.k];
         else
-            kept.details[t.level][t.k] = gamma.details[t.level][t.k];
+            kept.detail(t.level)[t.k] = gamma.detail(t.level)[t.k];
     }
     const std::vector<double> kept_kernel = dwt.inverse(kept);
     droppedL1_ = 0.0;

@@ -303,7 +303,10 @@ HistogramSnapshot::quantile(double q) const
             const double frac =
                 (target - static_cast<double>(seen)) /
                 static_cast<double>(counts[b]);
-            return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+            // Bucket edges can lie outside the observed range; no
+            // sample does, so neither may a quantile.
+            return std::clamp(lo + (hi - lo) * std::clamp(frac, 0.0, 1.0),
+                              min, max);
         }
         seen = next;
     }

@@ -84,7 +84,8 @@ struct HistogramSnapshot
 
     /**
      * Approximate quantile (0..1) by linear interpolation inside the
-     * containing bucket; exact at bucket edges.
+     * containing bucket, clamped to the observed [min, max]; monotone
+     * in @p q.
      */
     double quantile(double q) const;
 };

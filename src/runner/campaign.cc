@@ -32,6 +32,27 @@ CampaignSpec::isChipSweep() const
     return false;
 }
 
+bool
+CampaignSpec::checkGeometry(std::string *error) const
+{
+    if (windowLength == 0) {
+        *error = "spec field 'window' must be positive";
+        return false;
+    }
+    if (levels == 0 || levels >= 64) {
+        *error = "spec field 'levels' must be in [1, 63], got " +
+                 std::to_string(levels);
+        return false;
+    }
+    if (windowLength % (std::size_t(1) << levels) != 0) {
+        *error = "spec field 'window' (" + std::to_string(windowLength) +
+                 ") must be divisible by 2^levels (2^" +
+                 std::to_string(levels) + ")";
+        return false;
+    }
+    return true;
+}
+
 double
 CampaignResult::rmsEstimationErrorPct() const
 {

@@ -132,6 +132,16 @@ struct CampaignSpec
     /** True when any spec dimension needs the chip path. */
     bool isChipSweep() const;
 
+    /**
+     * The one check of the analysis geometry, shared by the JSON spec
+     * parser and the command-line spec builders: the window is
+     * positive, 1 <= levels < 64, and 2^levels divides the window.
+     * Fills @p error and returns false when the spec is rejected, so
+     * no spec reaches the variance model with a window the DWT cannot
+     * split.
+     */
+    bool checkGeometry(std::string *error) const;
+
     /** True when trace sampling is active. */
     bool isSampled() const { return sampleSkip > 0; }
 

@@ -264,10 +264,8 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
         !readCount(json, "seed", &parsed.seed, error) ||
         !readCount(json, "trim_warmup", &parsed.trimWarmup, error))
         return false;
-    if (parsed.windowLength == 0) {
-        *error = "spec field 'window' must be positive";
+    if (!parsed.checkGeometry(error))
         return false;
-    }
     if (const JsonValue *basis = json.find("basis")) {
         if (basis->kind() != JsonValue::Kind::String) {
             *error = "spec field 'basis' must be a string";

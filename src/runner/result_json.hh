@@ -33,8 +33,9 @@ JsonValue campaignSpecToJson(const CampaignSpec &spec);
  * Parse a campaign spec from the JSON object campaignSpecToJson
  * writes. Every field is optional and defaults to the CampaignSpec
  * default, so a request may carry only what it overrides. Never
- * panics: on a type mismatch, an unknown benchmark, or an unknown
- * wavelet basis it fills @p error and returns false, leaving @p spec
+ * panics: on a type mismatch, an unknown benchmark, an unknown
+ * wavelet basis, or a window/levels pair CampaignSpec::checkGeometry
+ * rejects it fills @p error and returns false, leaving @p spec
  * unspecified — the daemon turns that into a per-request error
  * response.
  */

@@ -9,27 +9,6 @@
 namespace didt
 {
 
-std::size_t
-WaveletDecomposition::totalCoefficients() const
-{
-    std::size_t n = approximation.size();
-    for (const auto &level : details)
-        n += level.size();
-    return n;
-}
-
-double
-WaveletDecomposition::energy() const
-{
-    double e = 0.0;
-    for (const auto &level : details)
-        for (double c : level)
-            e += c * c;
-    for (double c : approximation)
-        e += c * c;
-    return e;
-}
-
 Dwt::Dwt(WaveletBasis basis)
     : basis_(std::move(basis))
 {
@@ -75,19 +54,6 @@ Dwt::analyzeStep(std::span<const double> input, std::span<double> approx,
         approx[k] = a;
         detail[k] = d;
     }
-}
-
-void
-Dwt::analyzeStep(std::span<const double> input, std::vector<double> &approx,
-                 std::vector<double> &detail) const
-{
-    const std::size_t n = input.size();
-    if (n % 2 != 0 || n == 0)
-        didt_panic("analyzeStep needs even non-zero length, got ", n);
-    approx.resize(n / 2);
-    detail.resize(n / 2);
-    analyzeStep(input, std::span<double>(approx),
-                std::span<double>(detail));
 }
 
 void
@@ -137,15 +103,6 @@ Dwt::synthesizeStep(std::span<const double> approx,
             out[idx] += h[m] * approx[k] + g[m] * detail[k];
         }
     }
-}
-
-std::vector<double>
-Dwt::synthesizeStep(std::span<const double> approx,
-                    std::span<const double> detail) const
-{
-    std::vector<double> out(2 * approx.size(), 0.0);
-    synthesizeStep(approx, detail, std::span<double>(out));
-    return out;
 }
 
 std::size_t
@@ -226,25 +183,21 @@ Dwt::inverse(const FlatDecomposition &dec, std::span<double> out,
         didt_panic("inverse() produced length ", len, ", expected ", n);
 }
 
-WaveletDecomposition
+FlatDecomposition
 Dwt::forward(std::span<const double> signal, std::size_t levels) const
 {
+    FlatDecomposition dec;
     DwtWorkspace ws;
-    FlatDecomposition flat;
-    forward(signal, levels, flat, ws);
-    return flat.toNested();
+    forward(signal, levels, dec, ws);
+    return dec;
 }
 
 std::vector<double>
-Dwt::inverse(const WaveletDecomposition &dec) const
+Dwt::inverse(const FlatDecomposition &dec) const
 {
-    if (dec.details.empty())
-        didt_panic("inverse() on empty decomposition");
-
+    std::vector<double> out(dec.signalLength());
     DwtWorkspace ws;
-    ws.masked.assignFrom(dec);
-    std::vector<double> out(dec.signalLength, 0.0);
-    inverse(ws.masked, std::span<double>(out), ws);
+    inverse(dec, out, ws);
     return out;
 }
 

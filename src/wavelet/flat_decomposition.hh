@@ -1,17 +1,18 @@
 /**
  * @file
- * Flat single-buffer wavelet coefficient storage and reusable
+ * The wavelet coefficient matrix (paper Figure 2) and reusable
  * transform scratch.
  *
- * The legacy WaveletDecomposition keeps one std::vector per level,
- * which costs a heap allocation per level per transform — millions of
- * transient allocations across a characterization sweep that serialize
- * worker threads on the allocator. FlatDecomposition stores the whole
- * coefficient matrix in one contiguous buffer with per-level offsets
- * and hands out std::span views, so a decomposition can be recomputed
- * in place window after window without touching the allocator once
- * the buffers reach steady-state capacity. DwtWorkspace bundles the
- * ping/pong scratch the pyramid algorithms need between levels.
+ * FlatDecomposition is the one coefficient type of the wavelet
+ * library: the DWT, the MODWT, subband projection, scale statistics,
+ * coefficient ranking and the scalogram all read and write it. It
+ * stores the whole matrix in one contiguous buffer with per-level
+ * offsets and hands out std::span views, so a decomposition can be
+ * recomputed in place window after window without touching the
+ * allocator once the buffers reach steady-state capacity (one vector
+ * per level would cost a heap allocation per level per transform).
+ * DwtWorkspace bundles the ping/pong scratch the pyramid algorithms
+ * need between levels.
  *
  * Workspaces and decompositions are plain value types with no internal
  * synchronization: each is meant to be owned by exactly one thread
@@ -28,13 +29,11 @@
 namespace didt
 {
 
-struct WaveletDecomposition;
-
 /**
  * A multi-level wavelet decomposition in one contiguous buffer.
  *
- * Layout: detail levels finest first (matching WaveletDecomposition's
- * level numbering), then the approximation row:
+ * Layout: detail levels finest first (row 0 is the paper's finest
+ * d[0,k] row, row L-1 the coarsest), then the approximation row:
  *
  *     [ d0 ... | d1 ... | ... | d(L-1) ... | approx ... ]
  *
@@ -92,12 +91,6 @@ class FlatDecomposition
      * @p signal_length coefficients.
      */
     void layoutUniform(std::size_t signal_length, std::size_t levels);
-
-    /** Copy into the legacy vector-of-vectors representation. */
-    WaveletDecomposition toNested() const;
-
-    /** Adopt the layout and coefficients of a legacy decomposition. */
-    void assignFrom(const WaveletDecomposition &nested);
 
   private:
     std::vector<double> coeffs_;

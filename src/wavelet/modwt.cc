@@ -99,36 +99,30 @@ Modwt::forward(std::span<const double> signal, std::size_t levels,
     std::copy(current, current + n, smooth.begin());
 }
 
-ModwtDecomposition
+FlatDecomposition
 Modwt::forward(std::span<const double> signal, std::size_t levels) const
 {
+    FlatDecomposition dec;
     DwtWorkspace ws;
-    FlatDecomposition flat;
-    forward(signal, levels, flat, ws);
-
-    ModwtDecomposition dec;
-    dec.details.reserve(levels);
-    for (std::size_t j = 0; j < levels; ++j) {
-        const auto d = flat.detail(j);
-        dec.details.emplace_back(d.begin(), d.end());
-    }
-    const auto s = flat.approximation();
-    dec.smooth.assign(s.begin(), s.end());
+    forward(signal, levels, dec, ws);
     return dec;
 }
 
 std::vector<double>
-Modwt::inverse(const ModwtDecomposition &dec) const
+Modwt::inverse(const FlatDecomposition &dec) const
 {
-    if (dec.details.empty())
+    if (dec.levels() == 0)
         didt_panic("Modwt::inverse on empty decomposition");
-    const std::size_t n = dec.smooth.size();
+    const std::size_t n = dec.signalLength();
+    const std::span<const double> smooth = dec.approximation();
+    if (smooth.size() != n)
+        didt_panic("MODWT level size mismatch");
 
-    std::vector<double> current = dec.smooth;
+    std::vector<double> current(smooth.begin(), smooth.end());
     std::vector<double> prev(n);
-    for (std::size_t j = dec.details.size(); j >= 1; --j) {
+    for (std::size_t j = dec.levels(); j >= 1; --j) {
         const std::size_t stride = std::size_t(1) << (j - 1);
-        const std::vector<double> &detail = dec.details[j - 1];
+        const std::span<const double> detail = dec.detail(j - 1);
         if (detail.size() != n)
             didt_panic("MODWT level size mismatch");
         for (std::size_t t = 0; t < n; ++t) {
@@ -188,15 +182,9 @@ std::vector<double>
 Modwt::waveletVariance(std::span<const double> signal,
                        std::size_t levels) const
 {
-    const ModwtDecomposition dec = forward(signal, levels);
-    std::vector<double> variance(levels, 0.0);
-    const double n = static_cast<double>(signal.size());
-    for (std::size_t j = 0; j < levels; ++j) {
-        double energy = 0.0;
-        for (double w : dec.details[j])
-            energy += w * w;
-        variance[j] = energy / n;
-    }
+    std::vector<double> variance(levels);
+    DwtWorkspace ws;
+    waveletVariance(signal, levels, variance, ws);
     return variance;
 }
 

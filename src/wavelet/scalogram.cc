@@ -9,11 +9,12 @@
 namespace didt
 {
 
-Scalogram::Scalogram(const WaveletDecomposition &dec)
-    : signalLength_(dec.signalLength), maxMagnitude_(0.0)
+Scalogram::Scalogram(const FlatDecomposition &dec)
+    : signalLength_(dec.signalLength()), maxMagnitude_(0.0)
 {
-    magnitudes_.reserve(dec.details.size());
-    for (const auto &level : dec.details) {
+    magnitudes_.reserve(dec.levels());
+    for (std::size_t j = 0; j < dec.levels(); ++j) {
+        const std::span<const double> level = dec.detail(j);
         std::vector<double> mags(level.size());
         for (std::size_t k = 0; k < level.size(); ++k) {
             mags[k] = std::fabs(level[k]);

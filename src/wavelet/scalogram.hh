@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "wavelet/dwt.hh"
+#include "wavelet/flat_decomposition.hh"
 
 namespace didt
 {
@@ -24,7 +24,7 @@ class Scalogram
   public:
     /** Build from a decomposition; approximation row is excluded,
      *  matching the paper's Figure 4. */
-    explicit Scalogram(const WaveletDecomposition &dec);
+    explicit Scalogram(const FlatDecomposition &dec);
 
     /** Number of scale rows (finest first). */
     std::size_t scales() const { return magnitudes_.size(); }

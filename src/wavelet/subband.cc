@@ -17,9 +17,9 @@ namespace
  */
 template <typename KeepDetail>
 void
-projectMaskedFlat(const Dwt &dwt, const FlatDecomposition &dec,
-                  const KeepDetail &keep_detail, bool keep_approx,
-                  std::span<double> out, DwtWorkspace &ws)
+projectMasked(const Dwt &dwt, const FlatDecomposition &dec,
+              const KeepDetail &keep_detail, bool keep_approx,
+              std::span<double> out, DwtWorkspace &ws)
 {
     FlatDecomposition &masked = ws.masked;
     masked = dec;
@@ -36,83 +36,7 @@ projectMaskedFlat(const Dwt &dwt, const FlatDecomposition &dec,
     dwt.inverse(masked, out, ws);
 }
 
-/**
- * Run the inverse transform on a copy of @p dec in which every
- * coefficient row except the selected one is zeroed.
- */
-std::vector<double>
-projectSelected(const Dwt &dwt, const WaveletDecomposition &dec,
-                long long detail_level, bool keep_approx)
-{
-    WaveletDecomposition masked;
-    masked.signalLength = dec.signalLength;
-    masked.details.reserve(dec.details.size());
-    for (std::size_t j = 0; j < dec.details.size(); ++j) {
-        if (detail_level >= 0 &&
-            j == static_cast<std::size_t>(detail_level)) {
-            masked.details.push_back(dec.details[j]);
-        } else {
-            masked.details.emplace_back(dec.details[j].size(), 0.0);
-        }
-    }
-    if (keep_approx)
-        masked.approximation = dec.approximation;
-    else
-        masked.approximation.assign(dec.approximation.size(), 0.0);
-    return dwt.inverse(masked);
-}
-
 } // namespace
-
-std::vector<double>
-detailSubband(const Dwt &dwt, const WaveletDecomposition &dec,
-              std::size_t level)
-{
-    if (level >= dec.details.size())
-        didt_panic("detailSubband: level ", level, " out of range (",
-                   dec.details.size(), " levels)");
-    return projectSelected(dwt, dec, static_cast<long long>(level), false);
-}
-
-std::vector<double>
-approximationSubband(const Dwt &dwt, const WaveletDecomposition &dec)
-{
-    return projectSelected(dwt, dec, -1, true);
-}
-
-std::vector<std::vector<double>>
-allSubbands(const Dwt &dwt, const WaveletDecomposition &dec)
-{
-    std::vector<std::vector<double>> bands;
-    bands.reserve(dec.details.size() + 1);
-    for (std::size_t j = 0; j < dec.details.size(); ++j)
-        bands.push_back(detailSubband(dwt, dec, j));
-    bands.push_back(approximationSubband(dwt, dec));
-    return bands;
-}
-
-std::vector<double>
-filteredReconstruction(const Dwt &dwt, const WaveletDecomposition &dec,
-                       const std::vector<std::size_t> &keep_levels,
-                       bool keep_approximation)
-{
-    WaveletDecomposition masked;
-    masked.signalLength = dec.signalLength;
-    masked.details.reserve(dec.details.size());
-    for (std::size_t j = 0; j < dec.details.size(); ++j)
-        masked.details.emplace_back(dec.details[j].size(), 0.0);
-    for (std::size_t level : keep_levels) {
-        if (level >= dec.details.size())
-            didt_panic("filteredReconstruction: level ", level,
-                       " out of range");
-        masked.details[level] = dec.details[level];
-    }
-    if (keep_approximation)
-        masked.approximation = dec.approximation;
-    else
-        masked.approximation.assign(dec.approximation.size(), 0.0);
-    return dwt.inverse(masked);
-}
 
 void
 detailSubband(const Dwt &dwt, const FlatDecomposition &dec,
@@ -121,7 +45,7 @@ detailSubband(const Dwt &dwt, const FlatDecomposition &dec,
     if (level >= dec.levels())
         didt_panic("detailSubband: level ", level, " out of range (",
                    dec.levels(), " levels)");
-    projectMaskedFlat(
+    projectMasked(
         dwt, dec, [level](std::size_t j) { return j == level; }, false,
         out, ws);
 }
@@ -130,7 +54,7 @@ void
 approximationSubband(const Dwt &dwt, const FlatDecomposition &dec,
                      std::span<double> out, DwtWorkspace &ws)
 {
-    projectMaskedFlat(
+    projectMasked(
         dwt, dec, [](std::size_t) { return false; }, true, out, ws);
 }
 
@@ -144,7 +68,7 @@ filteredReconstruction(const Dwt &dwt, const FlatDecomposition &dec,
         if (level >= dec.levels())
             didt_panic("filteredReconstruction: level ", level,
                        " out of range");
-    projectMaskedFlat(
+    projectMasked(
         dwt, dec,
         [keep_levels](std::size_t j) {
             return std::find(keep_levels.begin(), keep_levels.end(), j) !=

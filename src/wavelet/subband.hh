@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "wavelet/dwt.hh"
 
@@ -20,29 +19,20 @@ namespace didt
 {
 
 /**
- * Project a single detail level of @p dec back into the time domain.
- *
- * @param dwt the transform engine (must use the same basis as @p dec)
- * @param dec a forward decomposition
- * @param level detail level to project (0 = finest)
- * @return a signal of the original length containing only that level's
- *         contribution
+ * Project detail level @p level (0 = finest) of @p dec back into the
+ * time domain: write into @p out (which must hold dec.signalLength()
+ * samples) a signal containing only that level's contribution. @p dwt
+ * must use the same basis as @p dec; @p ws supplies the masked copy
+ * and pyramid scratch, so the call is allocation-free once the
+ * workspace has reached capacity.
  */
-std::vector<double> detailSubband(const Dwt &dwt,
-                                  const WaveletDecomposition &dec,
-                                  std::size_t level);
+void detailSubband(const Dwt &dwt, const FlatDecomposition &dec,
+                   std::size_t level, std::span<double> out,
+                   DwtWorkspace &ws);
 
 /** Project the approximation row back into the time domain. */
-std::vector<double> approximationSubband(const Dwt &dwt,
-                                         const WaveletDecomposition &dec);
-
-/**
- * All subbands of a decomposition: details (finest first) followed by
- * the approximation subband. Their element-wise sum equals the original
- * signal (perfect reconstruction).
- */
-std::vector<std::vector<double>> allSubbands(const Dwt &dwt,
-                                             const WaveletDecomposition &dec);
+void approximationSubband(const Dwt &dwt, const FlatDecomposition &dec,
+                          std::span<double> out, DwtWorkspace &ws);
 
 /**
  * Reconstruct keeping only the detail levels listed in @p keep_levels
@@ -50,25 +40,6 @@ std::vector<std::vector<double>> allSubbands(const Dwt &dwt,
  * the paper's subband filtering: "if we choose to ignore some subbands
  * ... we are effectively filtering the original signal."
  */
-std::vector<double> filteredReconstruction(
-    const Dwt &dwt, const WaveletDecomposition &dec,
-    const std::vector<std::size_t> &keep_levels, bool keep_approximation);
-
-/**
- * In-place overloads on the flat layout: write the projection into
- * caller-owned @p out (which must hold dec.signalLength() samples),
- * using @p ws for the masked copy and pyramid scratch. Allocation-free
- * once the workspace has reached capacity.
- */
-void detailSubband(const Dwt &dwt, const FlatDecomposition &dec,
-                   std::size_t level, std::span<double> out,
-                   DwtWorkspace &ws);
-
-/** Flat-layout approximation projection into caller storage. */
-void approximationSubband(const Dwt &dwt, const FlatDecomposition &dec,
-                          std::span<double> out, DwtWorkspace &ws);
-
-/** Flat-layout subband filtering into caller storage. */
 void filteredReconstruction(const Dwt &dwt, const FlatDecomposition &dec,
                             std::span<const std::size_t> keep_levels,
                             bool keep_approximation, std::span<double> out,

@@ -13,7 +13,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "wavelet/dwt.hh"
+#include "wavelet/flat_decomposition.hh"
 
 namespace didt
 {
@@ -40,14 +40,10 @@ struct ScaleStats
     double approximationVariance = 0.0;
 };
 
-/** Compute per-scale statistics for @p dec. */
-ScaleStats computeScaleStats(const WaveletDecomposition &dec);
-
 /**
- * In-place overload for the flat layout: writes into @p out, reusing
- * its vectors' capacity so repeated calls on same-shaped
- * decompositions never allocate. Produces bit-identical values to the
- * nested overload.
+ * Compute per-scale statistics for @p dec into @p out, reusing its
+ * vectors' capacity so repeated calls on same-shaped decompositions
+ * never allocate.
  */
 void computeScaleStats(const FlatDecomposition &dec, ScaleStats &out);
 
@@ -72,13 +68,13 @@ struct CoefficientRef
  * (paper Section 5.1: "we order the coefficients by decreasing
  * magnitude").
  */
-std::vector<CoefficientRef> rankCoefficients(const WaveletDecomposition &dec);
+std::vector<CoefficientRef> rankCoefficients(const FlatDecomposition &dec);
 
 /**
  * Fraction of total energy captured by the @p k largest-magnitude
  * coefficients; measures the sparsity the paper exploits.
  */
-double energyCaptured(const WaveletDecomposition &dec, std::size_t k);
+double energyCaptured(const FlatDecomposition &dec, std::size_t k);
 
 } // namespace didt
 

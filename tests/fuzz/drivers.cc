@@ -124,7 +124,7 @@ runDwt(const std::uint8_t *data, std::size_t size)
     if (dwt_len >= 8) {
         const Dwt dwt(basis);
         const std::span<const double> head(signal.data(), dwt_len);
-        const WaveletDecomposition dec = dwt.forward(head, levels);
+        const FlatDecomposition dec = dwt.forward(head, levels);
         require(dec.totalCoefficients() == dwt_len,
                 "dwt coefficient count");
         const std::vector<double> back = dwt.inverse(dec);
@@ -144,7 +144,7 @@ runDwt(const std::uint8_t *data, std::size_t size)
         ++modwt_levels;
     if (modwt_levels >= 1) {
         const Modwt modwt(basis);
-        const ModwtDecomposition dec =
+        const FlatDecomposition dec =
             modwt.forward(signal, modwt_levels);
         const std::vector<double> back = modwt.inverse(dec);
         require(back.size() == signal.size(),

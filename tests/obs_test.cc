@@ -171,6 +171,71 @@ TEST(Histogram, QuantileInterpolatesWithinBuckets)
     EXPECT_LE(p50, 10.0);
 }
 
+namespace
+{
+
+/** min <= quantile(q) <= max and quantile monotone in q, on a grid. */
+void
+expectQuantilesInRangeAndMonotone(const obs::HistogramSnapshot &snap)
+{
+    double prev = snap.quantile(0.0);
+    for (int i = 0; i <= 200; ++i) {
+        const double q = i / 200.0;
+        const double v = snap.quantile(q);
+        EXPECT_GE(v, snap.min) << "q=" << q;
+        EXPECT_LE(v, snap.max) << "q=" << q;
+        EXPECT_GE(v, prev) << "q=" << q;
+        prev = v;
+    }
+}
+
+} // namespace
+
+TEST(Histogram, QuantilesStayInsideObservedRange)
+{
+    // Samples well inside wide buckets: interpolating to the bucket
+    // edges would report values no sample ever took.
+    obs::MetricsRegistry registry;
+    obs::Histogram histogram =
+        registry.histogram("test.range", {1.0, 100.0, 250.0});
+    for (int i = 0; i < 50; ++i)
+        histogram.observe(120.0 + i * 0.5); // 120 .. 144.5
+    histogram.observe(0.25);
+    histogram.observe(153.3);
+    const obs::HistogramSnapshot snap = histogram.snapshot();
+    expectQuantilesInRangeAndMonotone(snap);
+    EXPECT_DOUBLE_EQ(snap.quantile(0.0), 0.25);
+    EXPECT_DOUBLE_EQ(snap.quantile(1.0), 153.3);
+
+    // The overflow bucket interpolates up to the observed max.
+    histogram.observe(300.0);
+    expectQuantilesInRangeAndMonotone(histogram.snapshot());
+}
+
+TEST(Histogram, SingleSampleQuantilesAreThatSample)
+{
+    obs::MetricsRegistry registry;
+    obs::Histogram histogram =
+        registry.histogram("test.single", {10.0, 20.0});
+    histogram.observe(13.0);
+    const obs::HistogramSnapshot snap = histogram.snapshot();
+    expectQuantilesInRangeAndMonotone(snap);
+    for (double q : {0.0, 0.05, 0.5, 0.95, 1.0})
+        EXPECT_DOUBLE_EQ(snap.quantile(q), 13.0) << "q=" << q;
+}
+
+TEST(Histogram, OneBucketQuantilesStayInsideObservedRange)
+{
+    obs::MetricsRegistry registry;
+    obs::Histogram histogram =
+        registry.histogram("test.onebucket", {10.0, 20.0});
+    for (int i = 0; i < 40; ++i)
+        histogram.observe(12.0 + 0.1 * i); // 12.0 .. 15.9, bucket 1
+    const obs::HistogramSnapshot snap = histogram.snapshot();
+    ASSERT_EQ(snap.counts[1], 40u);
+    expectQuantilesInRangeAndMonotone(snap);
+}
+
 TEST(ScopedTimer, RecordsIntoHistogram)
 {
     obs::MetricsRegistry registry;
@@ -232,7 +297,7 @@ TEST(MetricsSnapshot, JsonGolden)
       "max": 1.5,
       "mean": 1,
       "p50": 1,
-      "p95": 1.8999999999999999,
+      "p95": 1.5,
       "bounds": [
         1,
         2

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hh"
 #include "runner/campaign.hh"
 #include "runner/result_json.hh"
 #include "runner/thread_pool.hh"
@@ -124,6 +125,16 @@ sharedSetup()
     return setup;
 }
 
+/** The request TraceRepository::get(prof, instructions) resolves to. */
+TraceRequest
+requestFor(const BenchmarkProfile &prof, std::uint64_t instructions)
+{
+    TraceRequest request;
+    request.profile = prof;
+    request.instructions = instructions;
+    return request;
+}
+
 TEST(Fingerprint, SensitiveToEveryRequestField)
 {
     TraceRequest base;
@@ -171,6 +182,20 @@ TEST(TraceRepository, HitAndMissAccounting)
     EXPECT_EQ(repo.residentTraces(), 2u);
 }
 
+TEST(TraceRepository, ResidentBytesGaugeTracksInsertsWithoutBudget)
+{
+    TraceRepository repo(sharedSetup());
+    ASSERT_EQ(repo.memoryBudgetBytes(), 0u);
+    const auto trace = repo.get(tinyProfile("gauge", 12), 3000);
+    ASSERT_GT(repo.residentBytes(), 0u);
+
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    const obs::MetricSnapshot *gauge = snap.find("repo.resident_bytes");
+    ASSERT_NE(gauge, nullptr);
+    EXPECT_EQ(gauge->value, static_cast<double>(repo.residentBytes()));
+}
+
 TEST(TraceRepository, ConcurrentRequestsSimulateOnce)
 {
     TraceRepository repo(sharedSetup());
@@ -209,9 +234,8 @@ TEST(TraceRepository, DiskPersistenceRoundTrip)
         simulated = *repo.get(prof, 3000);
         EXPECT_EQ(repo.stats().simulations, 1u);
         EXPECT_EQ(repo.stats().diskStores, 1u);
-        EXPECT_TRUE(
-            std::filesystem::exists(repo.cachePath(TraceRequest{
-                prof, 3000, 0, 4096})));
+        EXPECT_TRUE(std::filesystem::exists(
+            repo.cachePath(requestFor(prof, 3000))));
     }
     {
         TraceRepository repo(sharedSetup(), dir);
@@ -237,8 +261,7 @@ TEST(TraceRepository, CorruptCacheFileIsAMiss)
 
     TraceRepository repo(sharedSetup(), dir);
     {
-        std::ofstream bad(repo.cachePath(TraceRequest{prof, 3000, 0,
-                                                      4096}),
+        std::ofstream bad(repo.cachePath(requestFor(prof, 3000)),
                           std::ios::binary);
         bad << "not a trace";
     }

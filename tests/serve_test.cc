@@ -229,6 +229,23 @@ TEST(Protocol, RejectsBadRequests)
         "\"spec\": {\"benchmarks\": [\"not-a-spec2000-name\"]}}",
         &request, &error));
     EXPECT_NE(error.find("benchmark"), std::string::npos) << error;
+    // Invalid spec (window/levels the DWT cannot split); 1 << 64 is
+    // undefined, so levels 64 is rejected before any shift happens.
+    const auto characterize = [&](const std::string &spec) {
+        return serve::parseRequest(
+            "{\"schema\": \"didt-serve-v1\", \"type\": "
+            "\"characterize\", \"spec\": " +
+                spec + "}",
+            &request, &error);
+    };
+    for (const char *spec :
+         {"{\"levels\": 0}", "{\"window\": 256, \"levels\": 64}",
+          "{\"window\": 256, \"levels\": 12}", "{\"window\": 0}"}) {
+        EXPECT_FALSE(characterize(spec)) << spec;
+        EXPECT_NE(error.find("spec field"), std::string::npos) << error;
+    }
+    EXPECT_TRUE(characterize("{\"window\": 256, \"levels\": 8}"))
+        << error;
 }
 
 TEST(Protocol, ErrorCodeNames)
@@ -595,6 +612,36 @@ TEST(Server, DecodeFailpointBecomesPerRequestError)
         << error;
     EXPECT_EQ(parseResponse(response).find("type")->asString(), "pong");
     verify::resetFailPoints();
+}
+
+TEST(Server, BadGeometrySpecGetsTypedErrorAndDaemonSurvives)
+{
+    serve::ServerConfig config;
+    config.unixPath = testSocketPath("geom");
+    config.jobs = 1;
+    serve::Server server(sharedSetup(), config);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    // A 256-cycle window cannot be split 12 times.
+    CampaignSpec spec = smallSpec();
+    spec.windowLength = 256;
+    spec.levels = 12;
+    const JsonValue rejected = parseResponse(
+        callServer(config.unixPath,
+                   serve::characterizeRequestJson(
+                       "g1", campaignSpecToJson(spec))));
+    ASSERT_EQ(rejected.find("type")->asString(), "error")
+        << rejected.dump();
+    EXPECT_EQ(rejected.find("error")->find("code")->asString(),
+              "bad_request");
+
+    // The daemon is still up and answering.
+    const JsonValue pong = parseResponse(
+        callServer(config.unixPath, serve::pingRequestJson("g2")));
+    EXPECT_EQ(pong.find("type")->asString(), "pong");
+    server.requestStop();
+    server.wait();
 }
 
 TEST(Server, PongAdvertisesTelemetryFeatures)

@@ -67,6 +67,20 @@ expectBitEqual(std::span<const double> a, std::span<const double> b,
             << " vs " << b[i];
 }
 
+/** Every subband projection of @p dec: details finest first, then
+ *  the approximation. */
+std::vector<std::vector<double>>
+allSubbands(const Dwt &dwt, const FlatDecomposition &dec)
+{
+    std::vector<std::vector<double>> bands(
+        dec.levels() + 1, std::vector<double>(dec.signalLength()));
+    DwtWorkspace ws;
+    for (std::size_t j = 0; j < dec.levels(); ++j)
+        detailSubband(dwt, dec, j, bands[j], ws);
+    approximationSubband(dwt, dec, bands.back(), ws);
+    return bands;
+}
+
 std::vector<double>
 noisySignal(std::size_t n, std::uint64_t seed)
 {
@@ -112,18 +126,18 @@ TEST(SimdEquivalence, DwtForwardBitIdentical)
             ASSERT_GE(levels, 1u);
 
             simd::forceLevel(simd::Level::Scalar);
-            const WaveletDecomposition ref = dwt.forward(x, levels);
+            const FlatDecomposition ref = dwt.forward(x, levels);
             for (simd::Level level : vectorLevels()) {
                 simd::forceLevel(level);
-                const WaveletDecomposition got = dwt.forward(x, levels);
-                ASSERT_EQ(got.details.size(), ref.details.size());
+                const FlatDecomposition got = dwt.forward(x, levels);
+                ASSERT_EQ(got.levels(), ref.levels());
                 const std::string what = std::string(name) + "/n=" +
                                          std::to_string(n) + "/" +
                                          simd::levelName(level);
-                for (std::size_t j = 0; j < ref.details.size(); ++j)
-                    expectBitEqual(got.details[j], ref.details[j],
+                for (std::size_t j = 0; j < ref.levels(); ++j)
+                    expectBitEqual(got.detail(j), ref.detail(j),
                                    what + "/detail" + std::to_string(j));
-                expectBitEqual(got.approximation, ref.approximation,
+                expectBitEqual(got.approximation(), ref.approximation(),
                                what + "/approx");
             }
         }
@@ -142,7 +156,7 @@ TEST(SimdEquivalence, DwtInverseAndSubbandsBitIdentical)
             ASSERT_GE(levels, 1u);
 
             simd::forceLevel(simd::Level::Scalar);
-            const WaveletDecomposition dec = dwt.forward(x, levels);
+            const FlatDecomposition dec = dwt.forward(x, levels);
             const std::vector<double> ref_inv = dwt.inverse(dec);
             const auto ref_sub = allSubbands(dwt, dec);
             for (simd::Level level : vectorLevels()) {
@@ -208,20 +222,21 @@ TEST(SimdEquivalence, ModwtForwardAndVarianceBitIdentical)
             const std::size_t levels = 3;
 
             simd::forceLevel(simd::Level::Scalar);
-            const ModwtDecomposition ref = modwt.forward(x, levels);
+            const FlatDecomposition ref = modwt.forward(x, levels);
             const std::vector<double> ref_var =
                 modwt.waveletVariance(x, levels);
             for (simd::Level level : vectorLevels()) {
                 simd::forceLevel(level);
-                const ModwtDecomposition got = modwt.forward(x, levels);
+                const FlatDecomposition got = modwt.forward(x, levels);
                 const std::string what = std::string(name) + "/n=" +
                                          std::to_string(n) + "/" +
                                          simd::levelName(level);
-                ASSERT_EQ(got.details.size(), ref.details.size());
-                for (std::size_t j = 0; j < ref.details.size(); ++j)
-                    expectBitEqual(got.details[j], ref.details[j],
+                ASSERT_EQ(got.levels(), ref.levels());
+                for (std::size_t j = 0; j < ref.levels(); ++j)
+                    expectBitEqual(got.detail(j), ref.detail(j),
                                    what + "/detail" + std::to_string(j));
-                expectBitEqual(got.smooth, ref.smooth, what + "/smooth");
+                expectBitEqual(got.approximation(), ref.approximation(),
+                               what + "/smooth");
                 expectBitEqual(modwt.waveletVariance(x, levels), ref_var,
                                what + "/variance");
             }

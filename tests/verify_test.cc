@@ -73,6 +73,16 @@ sharedSetup()
     return setup;
 }
 
+/** The request TraceRepository::get(prof, instructions) resolves to. */
+TraceRequest
+requestFor(const BenchmarkProfile &prof, std::uint64_t instructions)
+{
+    TraceRequest request;
+    request.profile = prof;
+    request.instructions = instructions;
+    return request;
+}
+
 /** The campaign.cell failpoint key of one cell (matches result JSON). */
 std::string
 cellKey(const std::string &benchmark, double scale)
@@ -398,7 +408,7 @@ TEST_F(FailPoints, TruncatedCacheFileFallsBackToSimulation)
     {
         TraceRepository warm(sharedSetup(), dir);
         first = *warm.get(prof, 3000);
-        cached = warm.cachePath(TraceRequest{prof, 3000, 0, 4096});
+        cached = warm.cachePath(requestFor(prof, 3000));
         ASSERT_TRUE(std::filesystem::exists(cached));
     }
     // Simulate a writer that died mid-store.
@@ -430,7 +440,7 @@ TEST_F(FailPoints, InjectedWriteFaultSkipsTheStoreButServesTheTrace)
     EXPECT_FALSE(trace->empty());
     EXPECT_EQ(repo.stats().diskStores, 0u);
     EXPECT_FALSE(std::filesystem::exists(
-        repo.cachePath(TraceRequest{prof, 3000, 0, 4096})));
+        repo.cachePath(requestFor(prof, 3000))));
     std::filesystem::remove_all(dir);
 }
 

@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -31,6 +32,45 @@ randomSignal(std::size_t n, std::uint64_t seed)
     for (auto &x : xs)
         x = rng.normal(10.0, 4.0);
     return xs;
+}
+
+/** Project detail level @p level into a fresh signal. */
+std::vector<double>
+detailBand(const Dwt &dwt, const FlatDecomposition &dec, std::size_t level)
+{
+    std::vector<double> out(dec.signalLength());
+    DwtWorkspace ws;
+    detailSubband(dwt, dec, level, out, ws);
+    return out;
+}
+
+/** Project the approximation row into a fresh signal. */
+std::vector<double>
+approximationBand(const Dwt &dwt, const FlatDecomposition &dec)
+{
+    std::vector<double> out(dec.signalLength());
+    DwtWorkspace ws;
+    approximationSubband(dwt, dec, out, ws);
+    return out;
+}
+
+/** Subband-filtered reconstruction into a fresh signal. */
+std::vector<double>
+filtered(const Dwt &dwt, const FlatDecomposition &dec,
+         const std::vector<std::size_t> &keep_levels, bool keep_approx)
+{
+    std::vector<double> out(dec.signalLength());
+    DwtWorkspace ws;
+    filteredReconstruction(dwt, dec, keep_levels, keep_approx, out, ws);
+    return out;
+}
+
+ScaleStats
+scaleStats(const FlatDecomposition &dec)
+{
+    ScaleStats stats;
+    computeScaleStats(dec, stats);
+    return stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -141,25 +181,28 @@ TEST(Dwt, PaperFigure3Example)
     // Haar basis. Level-1 details are (x0-x1)/sqrt2 etc.
     const Dwt dwt(WaveletBasis::haar());
     const std::vector<double> signal{2, 4, 2, 0, 2, 4, 2, 0};
-    const WaveletDecomposition dec = dwt.forward(signal, 2);
+    const FlatDecomposition dec = dwt.forward(signal, 2);
 
     const double r = 1.0 / std::sqrt(2.0);
-    ASSERT_EQ(dec.details.size(), 2u);
-    ASSERT_EQ(dec.details[0].size(), 4u);
-    EXPECT_NEAR(dec.details[0][0], (2 - 4) * r, 1e-12);
-    EXPECT_NEAR(dec.details[0][1], (2 - 0) * r, 1e-12);
-    EXPECT_NEAR(dec.details[0][2], (2 - 4) * r, 1e-12);
-    EXPECT_NEAR(dec.details[0][3], (2 - 0) * r, 1e-12);
+    ASSERT_EQ(dec.levels(), 2u);
+    const auto d0 = dec.detail(0);
+    ASSERT_EQ(d0.size(), 4u);
+    EXPECT_NEAR(d0[0], (2 - 4) * r, 1e-12);
+    EXPECT_NEAR(d0[1], (2 - 0) * r, 1e-12);
+    EXPECT_NEAR(d0[2], (2 - 4) * r, 1e-12);
+    EXPECT_NEAR(d0[3], (2 - 0) * r, 1e-12);
 
     // Level 2: a1 = {6r, 2r, 6r, 2r}; d2 = (a1[0]-a1[1])/sqrt2 = 2.
-    ASSERT_EQ(dec.details[1].size(), 2u);
-    EXPECT_NEAR(dec.details[1][0], 2.0, 1e-12);
-    EXPECT_NEAR(dec.details[1][1], 2.0, 1e-12);
+    const auto d1 = dec.detail(1);
+    ASSERT_EQ(d1.size(), 2u);
+    EXPECT_NEAR(d1[0], 2.0, 1e-12);
+    EXPECT_NEAR(d1[1], 2.0, 1e-12);
 
     // Approximation: block sums / 2 = {4, 4}.
-    ASSERT_EQ(dec.approximation.size(), 2u);
-    EXPECT_NEAR(dec.approximation[0], 4.0, 1e-12);
-    EXPECT_NEAR(dec.approximation[1], 4.0, 1e-12);
+    const auto approx = dec.approximation();
+    ASSERT_EQ(approx.size(), 2u);
+    EXPECT_NEAR(approx[0], 4.0, 1e-12);
+    EXPECT_NEAR(approx[1], 4.0, 1e-12);
 }
 
 struct DwtCase
@@ -168,6 +211,14 @@ struct DwtCase
     std::size_t length;
     std::size_t levels;
 };
+
+// Names each case by its values. Without it gtest prints the raw bytes of
+// DwtCase, basis pointer included, so the test ids change with every build.
+void
+PrintTo(const DwtCase &c, std::ostream *os)
+{
+    *os << c.basis << " length=" << c.length << " levels=" << c.levels;
+}
 
 class DwtRoundTrip : public ::testing::TestWithParam<DwtCase>
 {
@@ -204,7 +255,7 @@ TEST_P(DwtRoundTrip, CoefficientCountMatchesSignal)
     const auto signal = randomSignal(length, 9);
     const auto dec = dwt.forward(signal, levels);
     EXPECT_EQ(dec.totalCoefficients(), length);
-    EXPECT_EQ(dec.signalLength, length);
+    EXPECT_EQ(dec.signalLength(), length);
     EXPECT_EQ(dec.levels(), levels);
 }
 
@@ -221,11 +272,11 @@ TEST(Dwt, ConstantSignalHasZeroDetails)
     const Dwt dwt(WaveletBasis::haar());
     const std::vector<double> signal(64, 5.0);
     const auto dec = dwt.forward(signal, 4);
-    for (const auto &level : dec.details)
-        for (double d : level)
+    for (std::size_t j = 0; j < dec.levels(); ++j)
+        for (double d : dec.detail(j))
             EXPECT_NEAR(d, 0.0, 1e-12);
     // Approximation carries all the mass: a = 5 * 2^(levels/2).
-    for (double a : dec.approximation)
+    for (double a : dec.approximation())
         EXPECT_NEAR(a, 5.0 * 4.0, 1e-12);
 }
 
@@ -241,9 +292,9 @@ TEST(Dwt, Linearity)
     const auto db = dwt.forward(b, 3);
     const auto ds = dwt.forward(sum, 3);
     for (std::size_t j = 0; j < 3; ++j)
-        for (std::size_t k = 0; k < ds.details[j].size(); ++k)
-            EXPECT_NEAR(ds.details[j][k],
-                        2.0 * da.details[j][k] + 3.0 * db.details[j][k],
+        for (std::size_t k = 0; k < ds.detail(j).size(); ++k)
+            EXPECT_NEAR(ds.detail(j)[k],
+                        2.0 * da.detail(j)[k] + 3.0 * db.detail(j)[k],
                         1e-9);
 }
 
@@ -259,12 +310,11 @@ TEST(Dwt, AnalyzeSynthesizeStepRoundTrip)
 {
     const Dwt dwt(WaveletBasis::daubechies4());
     const auto signal = randomSignal(32, 5);
-    std::vector<double> approx;
-    std::vector<double> detail;
+    std::vector<double> approx(16);
+    std::vector<double> detail(16);
     dwt.analyzeStep(signal, approx, detail);
-    ASSERT_EQ(approx.size(), 16u);
-    ASSERT_EQ(detail.size(), 16u);
-    const auto back = dwt.synthesizeStep(approx, detail);
+    std::vector<double> back(32);
+    dwt.synthesizeStep(approx, detail, back);
     for (std::size_t i = 0; i < signal.size(); ++i)
         EXPECT_NEAR(back[i], signal[i], 1e-10);
 }
@@ -278,7 +328,10 @@ TEST(Subband, SumOfAllSubbandsReconstructsSignal)
     const Dwt dwt(WaveletBasis::haar());
     const auto signal = randomSignal(128, 11);
     const auto dec = dwt.forward(signal, 5);
-    const auto bands = allSubbands(dwt, dec);
+    std::vector<std::vector<double>> bands;
+    for (std::size_t j = 0; j < dec.levels(); ++j)
+        bands.push_back(detailBand(dwt, dec, j));
+    bands.push_back(approximationBand(dwt, dec));
     ASSERT_EQ(bands.size(), 6u); // 5 details + approximation
     for (std::size_t i = 0; i < signal.size(); ++i) {
         double sum = 0.0;
@@ -294,7 +347,7 @@ TEST(Subband, DetailSubbandsHaveZeroMean)
     const auto signal = randomSignal(128, 13);
     const auto dec = dwt.forward(signal, 4);
     for (std::size_t j = 0; j < 4; ++j) {
-        const auto band = detailSubband(dwt, dec, j);
+        const auto band = detailBand(dwt, dec, j);
         const double m = std::accumulate(band.begin(), band.end(), 0.0);
         EXPECT_NEAR(m, 0.0, 1e-9) << "level " << j;
     }
@@ -305,7 +358,7 @@ TEST(Subband, ApproximationOfConstantIsConstant)
     const Dwt dwt(WaveletBasis::haar());
     const std::vector<double> signal(64, 3.0);
     const auto dec = dwt.forward(signal, 3);
-    const auto approx = approximationSubband(dwt, dec);
+    const auto approx = approximationBand(dwt, dec);
     for (double x : approx)
         EXPECT_NEAR(x, 3.0, 1e-12);
 }
@@ -316,16 +369,16 @@ TEST(Subband, FilteredReconstructionDropsLevels)
     const auto signal = randomSignal(64, 17);
     const auto dec = dwt.forward(signal, 3);
     // Keeping everything reproduces the signal.
-    const auto all = filteredReconstruction(dwt, dec, {0, 1, 2}, true);
+    const auto all = filtered(dwt, dec, {0, 1, 2}, true);
     for (std::size_t i = 0; i < signal.size(); ++i)
         EXPECT_NEAR(all[i], signal[i], 1e-9);
     // Keeping nothing yields zero.
-    const auto none = filteredReconstruction(dwt, dec, {}, false);
+    const auto none = filtered(dwt, dec, {}, false);
     for (double x : none)
         EXPECT_NEAR(x, 0.0, 1e-12);
     // Keeping one level equals that subband.
-    const auto only1 = filteredReconstruction(dwt, dec, {1}, false);
-    const auto band1 = detailSubband(dwt, dec, 1);
+    const auto only1 = filtered(dwt, dec, {1}, false);
+    const auto band1 = detailBand(dwt, dec, 1);
     for (std::size_t i = 0; i < signal.size(); ++i)
         EXPECT_NEAR(only1[i], band1[i], 1e-9);
 }
@@ -337,9 +390,9 @@ TEST(Subband, ParsevalSubbandVariance)
     const Dwt dwt(WaveletBasis::haar());
     const auto signal = randomSignal(256, 19);
     const auto dec = dwt.forward(signal, 6);
-    const auto stats = computeScaleStats(dec);
+    const auto stats = scaleStats(dec);
     for (std::size_t j = 0; j < 6; ++j) {
-        const auto band = detailSubband(dwt, dec, j);
+        const auto band = detailBand(dwt, dec, j);
         EXPECT_NEAR(stats.subbandVariance[j], variance(band),
                     1e-9 + 1e-6 * stats.subbandVariance[j])
             << "level " << j;
@@ -461,7 +514,7 @@ TEST(WaveletStats, EnergyPeaksAtMatchingScale)
     std::vector<double> signal(256);
     for (std::size_t i = 0; i < 256; ++i)
         signal[i] = (i / 8) % 2 ? 1.0 : -1.0; // period 16
-    const auto stats = computeScaleStats(dwt.forward(signal, 6));
+    const auto stats = scaleStats(dwt.forward(signal, 6));
     std::size_t peak = 0;
     for (std::size_t j = 1; j < 6; ++j)
         if (stats.subbandVariance[j] > stats.subbandVariance[peak])
@@ -478,7 +531,7 @@ TEST(WaveletStats, AdjacentCorrelationDetectsPulseTrains)
     std::vector<double> signal(256);
     for (std::size_t i = 0; i < 256; ++i)
         signal[i] = std::sin(2.0 * M_PI * static_cast<double>(i) / 32.0);
-    const auto stats = computeScaleStats(dwt.forward(signal, 6));
+    const auto stats = scaleStats(dwt.forward(signal, 6));
     EXPECT_LT(stats.adjacentCorrelation[3], -0.9);
 }
 
@@ -486,7 +539,7 @@ TEST(WaveletStats, ApproximationVarianceOfConstantIsZero)
 {
     const Dwt dwt(WaveletBasis::haar());
     const std::vector<double> signal(64, 2.5);
-    const auto stats = computeScaleStats(dwt.forward(signal, 3));
+    const auto stats = scaleStats(dwt.forward(signal, 3));
     EXPECT_NEAR(stats.approximationVariance, 0.0, 1e-12);
 }
 

@@ -211,6 +211,8 @@ main(int argc, char **argv)
         didt_fatal("--impedances must name at least one scale");
     spec.windowLength = static_cast<std::size_t>(opts.getInt("window"));
     spec.levels = static_cast<std::size_t>(opts.getInt("levels"));
+    if (std::string error; !spec.checkGeometry(&error))
+        didt_fatal("--window/--levels: ", error);
     spec.basis = opts.get("basis");
     spec.lowThreshold = opts.getDouble("low");
     spec.highThreshold = opts.getDouble("high");
