@@ -64,6 +64,35 @@ if [[ $TSAN_ONLY -eq 0 ]]; then
     fi
     echo "campaign JSON identical across SIMD on/off and jobs 1/4"
 
+    echo "=== no-correlation and chip-mix legs: SIMD on/off x jobs 1/4 ==="
+    # The estimated side is shared per (workload, core count) group, so
+    # the correlation-off estimate and the multi-core-count grid take
+    # their own paths through it: each must give one set of bytes.
+    NOCORR_ARGS=("${CAMPAIGN_ARGS[@]}" --no-correlation)
+    MIX_ARGS=(--mix int4 --cores 1,2 --impedances 1.0,1.2
+              --instructions 30000 --window 128 --levels 6 --quiet)
+    for leg in nocorr mix; do
+        if [[ $leg == nocorr ]]; then
+            LEG_ARGS=("${NOCORR_ARGS[@]}")
+        else
+            LEG_ARGS=("${MIX_ARGS[@]}")
+        fi
+        for build in build-ci build-scalar; do
+            for jobs in 1 4; do
+                "$build"/tools/didt_campaign --jobs "$jobs" \
+                    "${LEG_ARGS[@]}" \
+                    --json "$SMOKE_DIR/${leg}_${build}_j$jobs.json"
+            done
+        done
+        for other in build-ci_j4 build-scalar_j1 build-scalar_j4; do
+            cmp "$SMOKE_DIR/${leg}_build-ci_j1.json" \
+                "$SMOKE_DIR/${leg}_${other}.json"
+        done
+    done
+    grep -q '"use_correlation": false' "$SMOKE_DIR/nocorr_build-ci_j1.json"
+    echo "no-correlation and int4 x cores 1,2 JSON identical across" \
+         "SIMD on/off and jobs 1/4"
+
     echo "=== sampled-campaign byte-identity: SIMD on/off x jobs 1/4 ==="
     # Sampling must be deterministic too: the same sampled sweep gives
     # the same bytes regardless of worker count or kernel dispatch, and

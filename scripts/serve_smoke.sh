@@ -136,7 +136,7 @@ start_server --jobs 2
 # never a daemon exit.
 status=0
 "$CLIENT" characterize --socket "$SOCK" --benchmarks gzip \
-    --instructions 20000 --window 256 --levels 12 \
+    --instructions 20000 --window 256 --levels 12 --id g1 \
     --out "$WORK/bad_spec.json" 2> "$WORK/bad_spec.err" || status=$?
 if [[ $status -ne 3 ]]; then
     echo "FAIL: bad-spec characterize exited $status, want 3" >&2
@@ -144,6 +144,12 @@ if [[ $status -ne 3 ]]; then
     exit 1
 fi
 grep -q "bad_request" "$WORK/bad_spec.err"
+# The error answers the caller's request id.
+grep -q "(id g1)" "$WORK/bad_spec.err" || {
+    echo "FAIL: bad_request did not echo the request id:" >&2
+    cat "$WORK/bad_spec.err" >&2
+    exit 1
+}
 # The daemon survived: it still answers, then drains to exit 0.
 "$CLIENT" ping --socket "$SOCK"
 stop_server

@@ -25,37 +25,78 @@ profileTrace(const CurrentTrace &trace, const SupplyNetwork &network,
              Volt high_threshold, AnalysisWorkspace &ws,
              std::span<const std::size_t> use_levels, bool use_correlation)
 {
-    const std::size_t window = model.windowLength();
-    if (trace.size() < window)
-        didt_panic("profileTrace: trace shorter than one window");
     obs::ScopedTimer span("model.profile_trace", obs::Histogram{},
                           nullptr, "core");
-
     EmergencyProfile profile;
+    const VoltageVarianceModel *const models[] = {&model};
+    estimateTraceSides(trace, models, low_threshold, high_threshold, ws,
+                       {&profile, 1}, use_levels, use_correlation);
+    measureTraceSide(trace, network, low_threshold, high_threshold, ws,
+                     profile);
+    return profile;
+}
 
-    // Estimated side: consecutive windows, each contributing its
-    // Gaussian tail probabilities (window-weighted average equals the
-    // predicted fraction of cycles).
-    RunningStats est_below;
-    RunningStats est_above;
-    RunningStats est_var;
+void
+estimateTraceSides(const CurrentTrace &trace,
+                   std::span<const VoltageVarianceModel *const> models,
+                   Volt low_threshold, Volt high_threshold,
+                   AnalysisWorkspace &ws, std::span<EmergencyProfile> out,
+                   std::span<const std::size_t> use_levels,
+                   bool use_correlation)
+{
+    if (models.empty() || out.size() != models.size())
+        didt_panic("estimateTraceSides: ", models.size(), " models, ",
+                   out.size(), " outputs");
+    const VoltageVarianceModel &first = *models.front();
+    const std::size_t window = first.windowLength();
+    for (const VoltageVarianceModel *model : models)
+        if (model->windowLength() != window ||
+            model->levels() != first.levels() ||
+            model->basis().name() != first.basis().name())
+            didt_panic("estimateTraceSides: models differ in geometry");
+    if (trace.size() < window)
+        didt_panic("profileTrace: trace shorter than one window");
+    obs::ScopedTimer span("analysis.estimate_side", obs::Histogram{},
+                          nullptr, "core");
+
+    // Consecutive windows, each contributing its Gaussian tail
+    // probabilities (window-weighted average equals the predicted
+    // fraction of cycles). The features depend on the window alone;
+    // each model's three accumulators get the same pushes, in the same
+    // order, as a one-model pass would give them.
+    ws.sides.assign(3 * models.size(), RunningStats{});
+    std::size_t windows = 0;
     const std::span<const double> samples(trace.data(), trace.size());
     for (std::size_t off = 0; off + window <= trace.size(); off += window) {
-        model.estimate(samples.subspan(off, window), use_levels,
-                       use_correlation, ws.est, ws);
-        est_below.push(ws.est.probBelow(low_threshold));
-        est_above.push(ws.est.probAbove(high_threshold));
-        est_var.push(ws.est.variance);
-        ++profile.windows;
+        first.extractFeatures(samples.subspan(off, window), use_correlation,
+                              ws);
+        for (std::size_t k = 0; k < models.size(); ++k) {
+            models[k]->apply(use_levels, use_correlation, ws.est, ws);
+            ws.sides[3 * k].push(ws.est.probBelow(low_threshold));
+            ws.sides[3 * k + 1].push(ws.est.probAbove(high_threshold));
+            ws.sides[3 * k + 2].push(ws.est.variance);
+        }
+        ++windows;
     }
-    profile.estimatedBelow = est_below.mean();
-    profile.estimatedAbove = est_above.mean();
-    profile.estimatedVariance = est_var.mean();
+    for (std::size_t k = 0; k < models.size(); ++k) {
+        out[k].windows = windows;
+        out[k].estimatedBelow = ws.sides[3 * k].mean();
+        out[k].estimatedAbove = ws.sides[3 * k + 1].mean();
+        out[k].estimatedVariance = ws.sides[3 * k + 2].mean();
+    }
+}
 
-    // Measured side: exact convolution through the network. Threshold
-    // counts are order-independent integers, so they go through the
-    // SIMD kernel; the Welford variance recurrence is a sequential
-    // reduction and stays scalar to keep its rounding exact.
+void
+measureTraceSide(const CurrentTrace &trace, const SupplyNetwork &network,
+                 Volt low_threshold, Volt high_threshold,
+                 AnalysisWorkspace &ws, EmergencyProfile &profile)
+{
+    obs::ScopedTimer span("analysis.measure", obs::Histogram{}, nullptr,
+                          "core");
+    // Exact convolution through the network. Threshold counts are
+    // order-independent integers, so they go through the SIMD kernel;
+    // the Welford variance recurrence is a sequential reduction and
+    // stays scalar to keep its rounding exact.
     network.computeVoltageInto(trace, ws.voltage);
     std::uint64_t below = 0;
     std::uint64_t above = 0;
@@ -70,7 +111,6 @@ profileTrace(const CurrentTrace &trace, const SupplyNetwork &network,
     profile.measuredAbove =
         static_cast<double>(above) / static_cast<double>(ws.voltage.size());
     profile.measuredVariance = v_stats.variance();
-    return profile;
 }
 
 } // namespace didt

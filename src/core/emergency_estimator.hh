@@ -13,6 +13,7 @@
 #define DIDT_CORE_EMERGENCY_ESTIMATOR_HH
 
 #include <cstddef>
+#include <span>
 
 #include "core/variance_model.hh"
 #include "power/supply_network.hh"
@@ -69,7 +70,8 @@ EmergencyProfile profileTrace(const CurrentTrace &trace,
  * (decomposition, estimate, voltage trace) live in @p ws, so profiling
  * many traces with one workspace per thread runs allocation-free after
  * warm-up. Bit-identical results to the allocating overload (which is
- * a thin adapter over this one).
+ * a thin adapter over this one). Exactly estimateTraceSides() for
+ * @p model followed by measureTraceSide() against @p network.
  */
 EmergencyProfile profileTrace(const CurrentTrace &trace,
                               const SupplyNetwork &network,
@@ -78,6 +80,34 @@ EmergencyProfile profileTrace(const CurrentTrace &trace,
                               AnalysisWorkspace &ws,
                               std::span<const std::size_t> use_levels = {},
                               bool use_correlation = true);
+
+/**
+ * The estimated side of profileTrace() for several models in one pass
+ * over the trace: each window's wavelet features are extracted once
+ * and applied to every model. The models must share one (basis,
+ * window, levels) geometry; they may differ in supply network and
+ * calibrated factors (one model per impedance scale, say). Writes
+ * windows, estimatedBelow, estimatedAbove and estimatedVariance of
+ * out[k] for models[k], bit-identical to profileTrace() with that
+ * model; the measured fields are left alone.
+ */
+void estimateTraceSides(const CurrentTrace &trace,
+                        std::span<const VoltageVarianceModel *const> models,
+                        Volt low_threshold, Volt high_threshold,
+                        AnalysisWorkspace &ws,
+                        std::span<EmergencyProfile> out,
+                        std::span<const std::size_t> use_levels = {},
+                        bool use_correlation = true);
+
+/**
+ * The measured side of profileTrace(): the exact convolution of
+ * @p trace through @p network, its threshold fractions and voltage
+ * variance, into the measured fields of @p profile. Needs no model.
+ */
+void measureTraceSide(const CurrentTrace &trace,
+                      const SupplyNetwork &network, Volt low_threshold,
+                      Volt high_threshold, AnalysisWorkspace &ws,
+                      EmergencyProfile &profile);
 
 } // namespace didt
 

@@ -235,21 +235,21 @@ VoltageVarianceModel::accumulateWindow(Regression &reg,
                                        std::span<const double> signal,
                                        AnalysisWorkspace &ws) const
 {
-    dwt_.forward(signal, levels_, ws.dec, ws.dwt);
-    computeScaleStats(ws.dec, ws.stats);
+    // The regression needs the per-scale features only; the window
+    // mean feeds apply()'s IR-drop term, never a row.
+    extractScaleFeatures(signal, true, ws);
     std::vector<double> &row = ws.row;
     row.assign(reg.cols, 0.0);
     for (std::size_t j = 0; j < levels_; ++j) {
-        const double rho2 = lagAutocorrelation(ws.dec.detail(j), 2);
         row[3 * j] = ws.stats.subbandVariance[j];
         row[3 * j + 1] =
             ws.stats.adjacentCorrelation[j] * ws.stats.subbandVariance[j];
-        row[3 * j + 2] = rho2 * ws.stats.subbandVariance[j];
+        row[3 * j + 2] = ws.rho2[j] * ws.stats.subbandVariance[j];
     }
     if (reg.hasApprox) {
-        const double rho_a = lag1Autocorrelation(ws.dec.approximation());
         row[3 * levels_] = ws.stats.approximationVariance;
-        row[3 * levels_ + 1] = rho_a * ws.stats.approximationVariance;
+        row[3 * levels_ + 1] =
+            ws.approxRho * ws.stats.approximationVariance;
     }
     const double y = measureOutputVariance(signal, ws);
     if (y <= 0.0)
@@ -342,14 +342,50 @@ VoltageVarianceModel::estimate(std::span<const double> window,
                                bool use_correlation, WindowEstimate &out,
                                AnalysisWorkspace &ws) const
 {
-    if (!calibrated_)
-        didt_panic("VoltageVarianceModel::estimate before calibration");
+    extractFeatures(window, use_correlation, ws);
+    apply(use_levels, use_correlation, out, ws);
+}
+
+void
+VoltageVarianceModel::extractFeatures(std::span<const double> window,
+                                      bool use_correlation,
+                                      AnalysisWorkspace &ws) const
+{
+    extractScaleFeatures(window, use_correlation, ws);
+    RunningStats mean_stats;
+    for (double x : window)
+        mean_stats.push(x);
+    ws.windowMean = mean_stats.mean();
+}
+
+void
+VoltageVarianceModel::extractScaleFeatures(std::span<const double> window,
+                                           bool use_correlation,
+                                           AnalysisWorkspace &ws) const
+{
     if (window.size() != window_)
         didt_panic("estimate() expects ", window_, " samples, got ",
                    window.size());
 
     dwt_.forward(window, levels_, ws.dec, ws.dwt);
     computeScaleStats(ws.dec, ws.stats);
+    ws.rho2.assign(levels_, 0.0);
+    ws.approxRho = 0.0;
+    if (use_correlation) {
+        for (std::size_t j = 0; j < levels_; ++j)
+            ws.rho2[j] = lagAutocorrelation(ws.dec.detail(j), 2);
+        if (ws.dec.approximation().size() >= 2)
+            ws.approxRho = lag1Autocorrelation(ws.dec.approximation());
+    }
+}
+
+void
+VoltageVarianceModel::apply(std::span<const std::size_t> use_levels,
+                            bool use_correlation, WindowEstimate &out,
+                            AnalysisWorkspace &ws) const
+{
+    if (!calibrated_)
+        didt_panic("VoltageVarianceModel::estimate before calibration");
 
     ws.selected.assign(levels_, use_levels.empty() ? 1 : 0);
     for (std::size_t j : use_levels) {
@@ -359,11 +395,7 @@ VoltageVarianceModel::estimate(std::span<const double> window,
     }
 
     out.contributions.assign(levels_ + 1, 0.0);
-
-    RunningStats mean_stats;
-    for (double x : window)
-        mean_stats.push(x);
-    out.mean = network_.steadyStateVoltage(mean_stats.mean());
+    out.mean = network_.steadyStateVoltage(ws.windowMean);
 
     double total = 0.0;
     for (std::size_t j = 0; j < levels_; ++j) {
@@ -371,17 +403,14 @@ VoltageVarianceModel::estimate(std::span<const double> window,
             continue;
         const double rho1 =
             use_correlation ? ws.stats.adjacentCorrelation[j] : 0.0;
-        const double rho2 =
-            use_correlation ? lagAutocorrelation(ws.dec.detail(j), 2) : 0.0;
+        const double rho2 = use_correlation ? ws.rho2[j] : 0.0;
         const double contribution =
             detailFactors_[j].at(rho1, rho2) * ws.stats.subbandVariance[j];
         out.contributions[j] = contribution;
         total += contribution;
     }
-    if (ws.dec.approximation().size() >= 2) {
-        const double rho =
-            use_correlation ? lag1Autocorrelation(ws.dec.approximation())
-                            : 0.0;
+    if ((window_ >> levels_) >= 2) {
+        const double rho = use_correlation ? ws.approxRho : 0.0;
         const double contribution =
             approxFactor_.at(rho, 0.0) * ws.stats.approximationVariance;
         out.contributions[levels_] = contribution;

@@ -25,6 +25,7 @@
 
 #include "power/supply_network.hh"
 #include "stats/gaussian.hh"
+#include "stats/running_stats.hh"
 #include "util/rng.hh"
 #include "wavelet/dwt.hh"
 #include "wavelet/flat_decomposition.hh"
@@ -56,13 +57,23 @@ struct WindowEstimate
  * workspace per worker thread makes the per-window hot path free of
  * heap traffic. Plain value type, owned by exactly one thread at a
  * time (see DESIGN.md section 10).
+ *
+ * The feature fields (stats, rho2, approxRho, windowMean) hold the
+ * model-independent features of the last window passed to
+ * VoltageVarianceModel::extractFeatures; apply() reads them.
  */
 struct AnalysisWorkspace
 {
     DwtWorkspace dwt;           ///< pyramid ping/pong scratch
     FlatDecomposition dec;      ///< per-window decomposition
-    ScaleStats stats;           ///< per-scale statistics
+    ScaleStats stats;           ///< subband variance and lag-1 rho
+    std::vector<double> rho2;   ///< lag-2 rho per detail level
+    double approxRho = 0.0;     ///< lag-1 rho of the approximation
+    double windowMean = 0.0;    ///< mean current of the window
     WindowEstimate est;         ///< per-window estimate scratch
+    /** Estimated-side accumulators, three per model (below, above,
+     *  variance) of an estimateTraceSides() pass. */
+    std::vector<RunningStats> sides;
     std::vector<char> selected; ///< detail-level selection mask
     std::vector<double> row;    ///< regression feature row
     CurrentTrace tiled;         ///< tiled calibration stimulus
@@ -130,13 +141,37 @@ class VoltageVarianceModel
     /**
      * In-place overload: write the estimate into @p out using @p ws
      * for all intermediate storage. Allocation-free once the workspace
-     * has warmed up; bit-identical to the allocating overload (which
-     * is a thin adapter over this one).
+     * has warmed up. Exactly extractFeatures() then apply().
      */
     void estimate(std::span<const double> window,
                   std::span<const std::size_t> use_levels,
                   bool use_correlation, WindowEstimate &out,
                   AnalysisWorkspace &ws) const;
+
+    /**
+     * The model-independent half of estimate(): the DWT of @p window,
+     * its per-scale subband variance and lag-1 coefficient
+     * correlation, the lag-2 correlation of each detail level, the
+     * approximation's lag-1 correlation and the window mean, all into
+     * @p ws. The result depends only on the window and the (basis,
+     * window length, levels) geometry, so one extraction serves every
+     * model of that geometry, whatever its supply network. Needs no
+     * calibration. The correlations stay 0 when @p use_correlation is
+     * false.
+     */
+    void extractFeatures(std::span<const double> window,
+                         bool use_correlation, AnalysisWorkspace &ws) const;
+
+    /**
+     * The model-dependent half of estimate(): the IR-drop mean from
+     * the window mean, and the sum of calibrated factor times subband
+     * variance over the selected levels, from the features
+     * extractFeatures() left in @p ws (by this model or by any model
+     * of the same geometry).
+     */
+    void apply(std::span<const std::size_t> use_levels,
+               bool use_correlation, WindowEstimate &out,
+               AnalysisWorkspace &ws) const;
 
     /**
      * The @p k detail levels with the largest calibrated base factors
@@ -150,6 +185,9 @@ class VoltageVarianceModel
 
     /** Decomposition depth. */
     std::size_t levels() const { return levels_; }
+
+    /** Wavelet basis of the decomposition. */
+    const WaveletBasis &basis() const { return dwt_.basis(); }
 
     /** Base (rho = 0) variance gain of detail level @p j. */
     double baseFactor(std::size_t j) const;
@@ -180,6 +218,12 @@ class VoltageVarianceModel
         std::size_t cols = 0;
         bool hasApprox = false;
     };
+
+    /** extractFeatures() without the window mean (which calibration's
+     *  regression rows do not use); leaves ws.windowMean as it was. */
+    void extractScaleFeatures(std::span<const double> window,
+                              bool use_correlation,
+                              AnalysisWorkspace &ws) const;
 
     void beginRegression(Regression &reg) const;
     void accumulateWindow(Regression &reg, std::span<const double> signal,

@@ -37,6 +37,7 @@ struct CampaignMetrics
     obs::Counter cells;
     obs::Counter cellFailures;
     obs::Counter cellsInterrupted;
+    obs::Counter estimatePasses;
     obs::Histogram cellMs;
     obs::Histogram calibrateMs;
 };
@@ -49,6 +50,7 @@ campaignMetrics()
         registry.counter("campaign.cells"),
         registry.counter("campaign.cell_failures"),
         registry.counter("campaign.cells_interrupted"),
+        registry.counter("campaign.estimate_passes"),
         registry.histogram("campaign.cell_ms"),
         registry.histogram("campaign.calibrate_ms"),
     };
@@ -134,6 +136,22 @@ cellTraceRequest(const CampaignSpec &spec, std::size_t workload_index,
     }
     return request;
 }
+
+/**
+ * The estimated side of one (workload, core count) group: one profile
+ * per impedance scale, of which only the estimated fields and the
+ * window count are set. Filled by the first cell of the group that
+ * has its trace; a cell that throws while filling it leaves done
+ * false, and the next cell of the group tries again. (A mutex and a
+ * flag rather than std::call_once: ThreadSanitizer's pthread_once
+ * interceptor deadlocks when the callable throws.)
+ */
+struct GroupEstimate
+{
+    std::mutex mutex;
+    bool done = false;
+    std::vector<EmergencyProfile> sides;
+};
 
 std::uint64_t
 doubleBits(double value)
@@ -269,9 +287,20 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
     const bool cancelled_early =
         hooks.cancel && hooks.cancel->load(std::memory_order_relaxed);
     std::vector<const CalibratedScale *> models;
+    std::vector<const VoltageVarianceModel *> scaleModels;
     if (!cancelled_early)
         models = calibratedScales(plan.spec);
+    for (const CalibratedScale *cal : models)
+        scaleModels.push_back(cal->model.get());
     result.calibrationMillis = millisSince(campaign_start);
+
+    // A cell's estimated side depends on its trace and its scale's
+    // nominal model only, never on the network it is measured against,
+    // so it is computed once per (workload, core count) group, for all
+    // scales in one pass over the trace; each cell then runs only its
+    // own measured side.
+    std::vector<GroupEstimate> groups(plan.workloadCount() *
+                                      coreCounts.size());
 
     // Phase 3: the sweep itself. Cells are stored benchmark-major for
     // reporting but submitted in the plan's scale-major order, so the
@@ -316,7 +345,9 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
             continue;
         }
         pendingCell.push_back(ci);
-        pending.push_back(pool_.submit([&, ci, pi, si, di, cores] {
+        GroupEstimate *group =
+            &groups[pi * coreCounts.size() + pc.coreIndex];
+        pending.push_back(pool_.submit([&, ci, pi, si, di, cores, group] {
             obs::ScopedTraceContext cell_scope(cell_context);
             obs::ScopedTimer span(cell_labels[pi],
                                   campaignMetrics().cellMs, nullptr,
@@ -347,7 +378,7 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
                                         ? pool_.size()
                                         : wi];
                     const CalibratedScale &cal = *models[si];
-                    EmergencyProfile ep;
+                    std::optional<SupplyNetwork> drawn;
                     if (plan.spec.isMonteCarlo()) {
                         // The draw perturbs the supply network only;
                         // the trace and the calibrated variance model
@@ -358,20 +389,31 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
                             setup_.supplyBase, plan.spec.variation(),
                             deriveDrawSeed(plan.spec.mcSeed, di));
                         varied.impedanceScale = scales[si];
-                        const SupplyNetwork drawn(varied);
-                        ep = profileTrace(*trace, drawn, *cal.model,
-                                          plan.spec.lowThreshold,
-                                          plan.spec.highThreshold, ws,
-                                          {},
-                                          plan.spec.useCorrelation);
-                    } else {
-                        ep = profileTrace(*trace, cal.network,
-                                          *cal.model,
-                                          plan.spec.lowThreshold,
-                                          plan.spec.highThreshold, ws,
-                                          {},
-                                          plan.spec.useCorrelation);
+                        drawn.emplace(varied);
                     }
+                    obs::ScopedTimer profile_span("model.profile_trace",
+                                                  obs::Histogram{},
+                                                  nullptr, "core");
+                    {
+                        std::lock_guard<std::mutex> lock(group->mutex);
+                        if (!group->done) {
+                            group->sides.assign(scales.size(),
+                                                EmergencyProfile{});
+                            estimateTraceSides(
+                                *trace, scaleModels,
+                                plan.spec.lowThreshold,
+                                plan.spec.highThreshold, ws,
+                                group->sides, {},
+                                plan.spec.useCorrelation);
+                            group->done = true;
+                            campaignMetrics().estimatePasses.add(1);
+                        }
+                    }
+                    EmergencyProfile ep = group->sides[si];
+                    measureTraceSide(*trace,
+                                     drawn ? *drawn : cal.network,
+                                     plan.spec.lowThreshold,
+                                     plan.spec.highThreshold, ws, ep);
 
                     cell.traceCycles = trace->size();
                     cell.windows = ep.windows;

@@ -13,6 +13,16 @@
  * for identical specs because cell values depend only on the spec —
  * never on scheduling, sharing, or which entry point asked.
  *
+ * Analysis split: a cell's estimated side (the wavelet features of
+ * its trace's windows, applied to the calibrated model of its scale)
+ * depends on the trace and the nominal model only. run() computes it
+ * once per (workload, core count) group, for every scale of the plan
+ * in one pass over the trace, in the first cell of the group that has
+ * its trace. Every cell then runs only its own measured side (the
+ * convolution of the trace through its network). Monte Carlo draws
+ * perturb the measured side's network alone and never touch the
+ * estimated side, so a draw costs one convolution, not a re-analysis.
+ *
  * Calibration caching: the training trace set depends only on the
  * experiment setup and is built once per executor; calibrated models
  * are memoized by (impedance scale, window, levels, basis), so a

@@ -69,6 +69,9 @@ parseRequest(const std::string &payload, Request *request,
             return false;
         }
         parsed.id = id->asString();
+        // Stored at once, so a request rejected further down still
+        // gets its bad_request answered under the caller's id.
+        request->id = parsed.id;
     }
 
     const JsonValue *type = doc.find("type");

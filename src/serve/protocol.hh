@@ -127,7 +127,9 @@ struct Request
 /**
  * Parse and validate one request payload. Never throws: on any problem
  * (bad JSON, wrong schema, unknown type, invalid spec) fills @p error
- * with a bad_request message and returns false.
+ * with a bad_request message and returns false. A request that got as
+ * far as a valid string 'id' has request->id set even when it fails,
+ * so the error response echoes the caller's id.
  */
 bool parseRequest(const std::string &payload, Request *request,
                   std::string *error);

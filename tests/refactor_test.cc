@@ -8,10 +8,14 @@
  * workspaces) run the sweep. Everything here uses EXPECT_EQ on doubles
  * on purpose: these paths preserve the exact floating-point
  * accumulation order, so approximate comparison would mask a
- * regression.
+ * regression. The estimated/measured split of profileTrace and the
+ * executor's once-per-group estimated side are held to the same
+ * standard, compared through std::bit_cast.
  */
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,10 +26,15 @@
 #include "core/variance_model.hh"
 #include "power/stimulus.hh"
 #include "power/supply_network.hh"
+#include "power/variation.hh"
 #include "runner/campaign.hh"
+#include "runner/plan.hh"
 #include "runner/result_json.hh"
 #include "runner/trace_repository.hh"
+#include "util/json.hh"
 #include "util/rng.hh"
+#include "verify/failpoint.hh"
+#include "wavelet/basis.hh"
 #include "wavelet/dwt.hh"
 #include "wavelet/flat_decomposition.hh"
 #include "wavelet/modwt.hh"
@@ -246,6 +255,295 @@ TEST(RefactorCampaign, JsonByteIdenticalAcrossJobCounts)
     EXPECT_EQ(campaignToJson(serial).dump(),
               campaignToJson(parallel).dump())
         << "shared workspaces must not leak state between cells";
+}
+
+// ---------------------------------------------------------------------------
+// Estimated side shared across scale models and Monte Carlo draws
+// ---------------------------------------------------------------------------
+
+/** The bits of @p x: equal bits, not merely equal values. */
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** Issue noise with a 24-cycle pulse train on top, so every subband
+ *  and both correlation terms see signal. */
+CurrentTrace
+pulsedTrace(std::size_t cycles, std::uint64_t seed)
+{
+    Rng rng(seed);
+    CurrentTrace trace = gaussianCurrent(40.0, 6.0, cycles, rng);
+    for (std::size_t n = 0; n < trace.size(); ++n)
+        if ((n / 12) % 2 == 0)
+            trace[n] += 15.0;
+    return trace;
+}
+
+TEST(RefactorSides, EstimateTraceSidesMatchesProfileTracePerModel)
+{
+    // One pass over the trace for several scale models (features
+    // extracted once per window, applied to each model) must give each
+    // model the estimated side profileTrace gives it on its own.
+    const std::vector<double> scales{1.0, 1.25, 1.5};
+    std::vector<CurrentTrace> training;
+    for (std::uint64_t seed = 60; seed < 63; ++seed)
+        training.push_back(pulsedTrace(4096, seed));
+    // A trailing partial window, which both paths must ignore.
+    const CurrentTrace trace = pulsedTrace(256 * 24 + 77, 70);
+
+    // Dirty workspaces: both carry state from the previous geometry.
+    AnalysisWorkspace shared_ws;
+    AnalysisWorkspace solo_ws;
+    for (const std::string &name : WaveletBasis::allNames()) {
+        for (const std::size_t window : {128u, 256u}) {
+            std::vector<std::unique_ptr<SupplyNetwork>> nets;
+            std::vector<std::unique_ptr<VoltageVarianceModel>> models;
+            std::vector<const VoltageVarianceModel *> model_ptrs;
+            for (const double scale : scales) {
+                SupplyNetworkConfig cfg = testNetwork().config();
+                cfg.impedanceScale = scale;
+                nets.push_back(std::make_unique<SupplyNetwork>(cfg));
+                models.push_back(std::make_unique<VoltageVarianceModel>(
+                    *nets.back(), window, 4, WaveletBasis::byName(name)));
+                models.back()->calibrateOnTraces(training);
+                model_ptrs.push_back(models.back().get());
+            }
+            for (const bool correlated : {true, false}) {
+                std::vector<EmergencyProfile> sides(scales.size());
+                estimateTraceSides(trace, model_ptrs, 0.97, 1.03, shared_ws,
+                                   sides, {}, correlated);
+                for (std::size_t k = 0; k < scales.size(); ++k) {
+                    const EmergencyProfile want =
+                        profileTrace(trace, *nets[k], *models[k], 0.97,
+                                     1.03, solo_ws, {}, correlated);
+                    const EmergencyProfile &got = sides[k];
+                    SCOPED_TRACE(name + " window " + std::to_string(window) +
+                                 (correlated ? " rho" : " no-rho") +
+                                 " scale " + std::to_string(scales[k]));
+                    EXPECT_EQ(got.windows, trace.size() / window);
+                    EXPECT_EQ(got.windows, want.windows);
+                    EXPECT_EQ(bits(got.estimatedBelow),
+                              bits(want.estimatedBelow));
+                    EXPECT_EQ(bits(got.estimatedAbove),
+                              bits(want.estimatedAbove));
+                    EXPECT_EQ(bits(got.estimatedVariance),
+                              bits(want.estimatedVariance));
+                    // The measured side is not the estimated pass's to
+                    // write.
+                    EXPECT_EQ(bits(got.measuredVariance), bits(0.0));
+                }
+            }
+        }
+    }
+}
+
+TEST(RefactorSides, EstimateMatchesExtractThenApplyAcrossModels)
+{
+    // Features extracted by one model, applied by another of the same
+    // geometry, give that other model's own estimate.
+    SupplyNetworkConfig cfg = testNetwork().config();
+    const SupplyNetwork net_a(cfg);
+    cfg.impedanceScale = 1.5;
+    const SupplyNetwork net_b(cfg);
+    VoltageVarianceModel model_a(net_a);
+    VoltageVarianceModel model_b(net_b);
+    const std::vector<CurrentTrace> training{pulsedTrace(8192, 80)};
+    model_a.calibrateOnTraces(training);
+    model_b.calibrateOnTraces(training);
+
+    AnalysisWorkspace ws;
+    const std::vector<std::size_t> some_levels{1, 3, 5};
+    for (std::uint64_t seed = 81; seed < 85; ++seed) {
+        const auto window = randomSignal(model_b.windowLength(), seed);
+        for (const bool correlated : {true, false}) {
+            const WindowEstimate want =
+                model_b.estimate(window, some_levels, correlated);
+            model_a.extractFeatures(window, correlated, ws);
+            WindowEstimate got;
+            model_b.apply(some_levels, correlated, got, ws);
+            EXPECT_EQ(bits(want.mean), bits(got.mean));
+            EXPECT_EQ(bits(want.variance), bits(got.variance));
+            ASSERT_EQ(want.contributions.size(), got.contributions.size());
+            for (std::size_t j = 0; j < want.contributions.size(); ++j)
+                EXPECT_EQ(bits(want.contributions[j]),
+                          bits(got.contributions[j]));
+        }
+    }
+}
+
+const ExperimentSetup &
+executorSetup()
+{
+    static const ExperimentSetup setup = makeStandardSetup();
+    return setup;
+}
+
+/** Two workloads x two scales x three supply draws. */
+CampaignSpec
+monteCarloSpec()
+{
+    CampaignSpec spec;
+    spec.profiles = {refactorProfile("mc-a", 61),
+                     refactorProfile("mc-b", 62)};
+    spec.impedanceScales = {1.0, 1.3};
+    spec.windowLength = 64;
+    spec.levels = 4;
+    spec.instructions = 6000;
+    spec.mcDraws = 3;
+    spec.mcSeed = 7;
+    spec.mcSigmaR = 0.08;
+    spec.mcSigmaResonance = 0.08;
+    spec.mcSigmaQ = 0.08;
+    return spec;
+}
+
+/** One cell's result JSON, the bytes a campaign document carries. */
+std::string
+cellJson(const CampaignResult &result, std::size_t index)
+{
+    const JsonValue doc = campaignToJson(result);
+    return doc.find("cells")->items().at(index).dump();
+}
+
+TEST(RefactorExecutor, MonteCarloCellMatchesStandaloneProfileTrace)
+{
+    const ExperimentSetup &setup = executorSetup();
+    const CampaignSpec spec = monteCarloSpec();
+    TraceRepository repo(setup);
+    const CampaignResult result =
+        runCharacterizationCampaign(setup, spec, repo, 2);
+    const CampaignPlan plan = buildCampaignPlan(spec);
+    const std::vector<CurrentTrace> training = calibrationTraces(setup);
+
+    for (const PlanCell &pc : {PlanCell{1, 0, 1, 2}, PlanCell{0, 0, 0, 1}}) {
+        const CampaignCell &cell = result.cells[plan.storageIndex(pc)];
+        ASSERT_FALSE(cell.failed) << cell.error;
+        const double scale = spec.impedanceScales[pc.scaleIndex];
+
+        TraceRequest request;
+        request.profile = spec.profiles[pc.profileIndex];
+        request.instructions = spec.instructions;
+        request.seed = spec.seed;
+        request.trimWarmup = spec.trimWarmup;
+        const auto trace = repo.get(request);
+        const SupplyNetwork nominal = setup.makeNetwork(scale);
+        VoltageVarianceModel model(nominal, spec.windowLength, spec.levels,
+                                   WaveletBasis::byName(spec.basis));
+        model.calibrateOnTraces(training);
+        SupplyNetworkConfig varied =
+            drawSupplyConfig(setup.supplyBase, spec.variation(),
+                             deriveDrawSeed(spec.mcSeed, pc.drawIndex));
+        varied.impedanceScale = scale;
+        const SupplyNetwork drawn(varied);
+        const EmergencyProfile want =
+            profileTrace(*trace, drawn, model, spec.lowThreshold,
+                         spec.highThreshold, {}, spec.useCorrelation);
+
+        EXPECT_EQ(cell.traceCycles, trace->size());
+        EXPECT_EQ(cell.windows, want.windows);
+        EXPECT_EQ(bits(cell.estimatedBelowPct),
+                  bits(100.0 * want.estimatedBelow));
+        EXPECT_EQ(bits(cell.measuredBelowPct),
+                  bits(100.0 * want.measuredBelow));
+        EXPECT_EQ(bits(cell.estimatedAbovePct),
+                  bits(100.0 * want.estimatedAbove));
+        EXPECT_EQ(bits(cell.measuredAbovePct),
+                  bits(100.0 * want.measuredAbove));
+        EXPECT_EQ(bits(cell.estimatedVariance),
+                  bits(want.estimatedVariance));
+        EXPECT_EQ(bits(cell.measuredVariance), bits(want.measuredVariance));
+    }
+    // The standalone lookups hit the campaign's traces.
+    EXPECT_EQ(repo.stats().simulations, 2u);
+}
+
+/** Every failpoint test starts and ends with a clean registry; a
+ *  -DDIDT_FAILPOINTS=OFF build compiles the sites out, so there these
+ *  tests skip. */
+class RefactorExecutorFaults : public ::testing::Test
+{
+  protected:
+    void SetUp() override
+    {
+#ifdef DIDT_FAILPOINTS_OFF
+        GTEST_SKIP() << "built with -DDIDT_FAILPOINTS=OFF";
+#endif
+        verify::resetFailPoints();
+    }
+    void TearDown() override { verify::resetFailPoints(); }
+};
+
+TEST_F(RefactorExecutorFaults, FaultedFirstDrawLeavesItsGroupUnchanged)
+{
+    // The first cell submitted for mc-a (scale 1, draw 0) is the one
+    // that would run the group's estimated side; faulting it hands the
+    // pass to a later draw, and every other cell keeps its bytes.
+    const ExperimentSetup &setup = executorSetup();
+    const CampaignSpec spec = monteCarloSpec();
+    TraceRepository clean_repo(setup);
+    const CampaignResult clean =
+        runCharacterizationCampaign(setup, spec, clean_repo, 1);
+
+    const std::string key = "mc-a@" + jsonNumber(1.0) + "@d0";
+    verify::armFailPoint("campaign.cell",
+                         verify::TriggerPolicy::keyEquals(key));
+    TraceRepository faulted_repo(setup);
+    const CampaignResult faulted =
+        runCharacterizationCampaign(setup, spec, faulted_repo, 1);
+
+    ASSERT_EQ(clean.cells.size(), faulted.cells.size());
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < faulted.cells.size(); ++i) {
+        if (faulted.cells[i].failed) {
+            ++failed;
+            EXPECT_EQ(faulted.cells[i].benchmark, "mc-a");
+            EXPECT_EQ(faulted.cells[i].draw, 0u);
+            continue;
+        }
+        EXPECT_EQ(cellJson(clean, i), cellJson(faulted, i)) << "cell " << i;
+    }
+    EXPECT_EQ(failed, 1u);
+}
+
+TEST_F(RefactorExecutorFaults, FailedFirstProductionStillFillsItsGroup)
+{
+    // The first trace production fails, so the first cell of that
+    // workload's group fails before it reaches the estimated side; a
+    // later cell of the group produces the trace again, runs the pass,
+    // and every cell that did not fail carries the unfaulted bytes.
+    const ExperimentSetup &setup = executorSetup();
+    const CampaignSpec spec = monteCarloSpec();
+    TraceRepository clean_repo(setup);
+    const CampaignResult clean =
+        runCharacterizationCampaign(setup, spec, clean_repo, 2);
+
+    verify::armFailPoint("repo.produce", verify::TriggerPolicy::nthHit(1));
+    TraceRepository faulted_repo(setup);
+    const CampaignResult faulted =
+        runCharacterizationCampaign(setup, spec, faulted_repo, 2);
+
+    ASSERT_EQ(clean.cells.size(), faulted.cells.size());
+    std::string failed_workload;
+    std::size_t failed = 0;
+    for (std::size_t i = 0; i < faulted.cells.size(); ++i) {
+        if (faulted.cells[i].failed) {
+            ++failed;
+            failed_workload = faulted.cells[i].benchmark;
+            EXPECT_NE(faulted.cells[i].error.find("repo.produce"),
+                      std::string::npos)
+                << faulted.cells[i].error;
+            continue;
+        }
+        EXPECT_EQ(cellJson(clean, i), cellJson(faulted, i)) << "cell " << i;
+    }
+    ASSERT_GE(failed, 1u);
+    std::size_t survivors = 0;
+    for (const CampaignCell &cell : faulted.cells)
+        if (cell.benchmark == failed_workload && !cell.failed)
+            ++survivors;
+    EXPECT_GT(survivors, 0u) << "the group's later cells must recover";
 }
 
 } // namespace

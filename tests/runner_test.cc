@@ -329,6 +329,48 @@ TEST(Campaign, ResultShapeAndCacheReuse)
               result.cells[0].measuredVariance);
 }
 
+/** campaign.estimate_passes so far in this process. */
+double
+estimatePasses()
+{
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    const obs::MetricSnapshot *passes =
+        snap.find("campaign.estimate_passes");
+    return passes ? passes->value : 0.0;
+}
+
+TEST(Campaign, EstimatedSideRunsOncePerWorkloadAndCoreCount)
+{
+    // A cell's estimated side depends on its trace and its scale's
+    // nominal model only, so the executor runs it once per (workload,
+    // core count) group for all scales, and Monte Carlo draws reuse it.
+    CampaignSpec sweep = tinySpec();
+    sweep.coreCounts = {1, 2};
+    TraceRepository sweep_repo(sharedSetup());
+    const double before = estimatePasses();
+    const CampaignResult swept =
+        runCharacterizationCampaign(sharedSetup(), sweep, sweep_repo, 2);
+    ASSERT_EQ(swept.cells.size(), 8u);
+    for (const CampaignCell &cell : swept.cells)
+        EXPECT_FALSE(cell.failed) << cell.error;
+    EXPECT_EQ(estimatePasses() - before, 2.0 * 2.0)
+        << "2 workloads x 2 core counts";
+
+    CampaignSpec mc = tinySpec();
+    mc.mcDraws = 4;
+    mc.mcSeed = 3;
+    mc.mcSigmaR = 0.05;
+    TraceRepository mc_repo(sharedSetup());
+    const double mid = estimatePasses();
+    const CampaignResult drawn =
+        runCharacterizationCampaign(sharedSetup(), mc, mc_repo, 2);
+    ASSERT_EQ(drawn.cells.size(), 16u);
+    for (const CampaignCell &cell : drawn.cells)
+        EXPECT_FALSE(cell.failed) << cell.error;
+    EXPECT_EQ(estimatePasses() - mid, 2.0) << "2 workloads x 1 core count";
+}
+
 TEST(Campaign, GenericCellFanOutPreservesIndexOrder)
 {
     const std::vector<int> out = runCampaignCells<int>(

@@ -248,6 +248,20 @@ TEST(Protocol, RejectsBadRequests)
         << error;
 }
 
+TEST(Protocol, RejectedRequestKeepsCallerId)
+{
+    // The id is parsed before the spec, so a bad spec's error response
+    // can still be matched to its request.
+    serve::Request request;
+    std::string error;
+    EXPECT_FALSE(serve::parseRequest(
+        "{\"schema\": \"didt-serve-v1\", \"type\": \"characterize\", "
+        "\"id\": \"g1\", \"spec\": {\"window\": 256, \"levels\": 12}}",
+        &request, &error));
+    EXPECT_NE(error.find("spec field"), std::string::npos) << error;
+    EXPECT_EQ(request.id, "g1");
+}
+
 TEST(Protocol, ErrorCodeNames)
 {
     EXPECT_STREQ(serve::errorCodeName(serve::ErrorCode::BadRequest),
@@ -635,6 +649,7 @@ TEST(Server, BadGeometrySpecGetsTypedErrorAndDaemonSurvives)
         << rejected.dump();
     EXPECT_EQ(rejected.find("error")->find("code")->asString(),
               "bad_request");
+    EXPECT_EQ(rejected.find("id")->asString(), "g1");
 
     // The daemon is still up and answering.
     const JsonValue pong = parseResponse(

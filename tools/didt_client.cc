@@ -120,11 +120,17 @@ exitOnErrorResponse(const JsonValue &response)
     const JsonValue *error = response.find("error");
     const JsonValue *code = error ? error->find("code") : nullptr;
     const JsonValue *message = error ? error->find("message") : nullptr;
+    const JsonValue *id = response.find("id");
+    const std::string echoed_id =
+        id && id->kind() == JsonValue::Kind::String && !id->asString().empty()
+            ? " (id " + id->asString() + ")"
+            : "";
     std::fprintf(
-        stderr, "didt_client: daemon error [%s]: %s\n",
+        stderr, "didt_client: daemon error [%s]%s: %s\n",
         code && code->kind() == JsonValue::Kind::String
             ? code->asString().c_str()
             : "unknown",
+        echoed_id.c_str(),
         message && message->kind() == JsonValue::Kind::String
             ? message->asString().c_str()
             : "(no message)");
