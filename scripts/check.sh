@@ -4,7 +4,7 @@
 # subsystems' tests under ThreadSanitizer, plus a metrics sidecar smoke
 # run validated against the checked-in schema, plus the SIMD
 # determinism gate (campaign JSON byte-identical across
-# -DDIDT_SIMD=ON/OFF and --jobs 1/4), plus the didt_serve service
+# -DDIDT_SIMD=ON/OFF and --jobs 1/4, Monte Carlo legs included), plus the didt_serve service
 # smoke (scripts/serve_smoke.sh: a daemon replay reproduces a batch
 # campaign byte for byte and drains cleanly on SIGTERM).
 #
@@ -64,19 +64,28 @@ if [[ $TSAN_ONLY -eq 0 ]]; then
     fi
     echo "campaign JSON identical across SIMD on/off and jobs 1/4"
 
-    echo "=== no-correlation and chip-mix legs: SIMD on/off x jobs 1/4 ==="
+    echo "=== no-correlation, chip-mix and chunked-MC legs: SIMD on/off x jobs 1/4 ==="
     # The estimated side is shared per (workload, core count) group, so
     # the correlation-off estimate and the multi-core-count grid take
-    # their own paths through it: each must give one set of bytes.
+    # their own paths through it: each must give one set of bytes. The
+    # measured side runs in chunks of up to 8 networks, one per SIMD
+    # lane: 13 draws fill neither a chunk nor a vector, and a single
+    # benchmark puts every chunk of the campaign in one group.
     NOCORR_ARGS=("${CAMPAIGN_ARGS[@]}" --no-correlation)
     MIX_ARGS=(--mix int4 --cores 1,2 --impedances 1.0,1.2
               --instructions 30000 --window 128 --levels 6 --quiet)
-    for leg in nocorr mix; do
-        if [[ $leg == nocorr ]]; then
-            LEG_ARGS=("${NOCORR_ARGS[@]}")
-        else
-            LEG_ARGS=("${MIX_ARGS[@]}")
-        fi
+    MC13_ARGS=("${CAMPAIGN_ARGS[@]}" --mc-draws 13 --mc-seed 7
+               --mc-sigma 0.08)
+    MC1B_ARGS=(--benchmarks mcf --impedances 1.0,1.1,1.2,1.35,1.5
+               --instructions 30000 --window 128 --levels 6 --quiet
+               --mc-draws 13 --mc-seed 7 --mc-sigma 0.08)
+    for leg in nocorr mix mc13 mc1b; do
+        case $leg in
+            nocorr) LEG_ARGS=("${NOCORR_ARGS[@]}") ;;
+            mix) LEG_ARGS=("${MIX_ARGS[@]}") ;;
+            mc13) LEG_ARGS=("${MC13_ARGS[@]}") ;;
+            mc1b) LEG_ARGS=("${MC1B_ARGS[@]}") ;;
+        esac
         for build in build-ci build-scalar; do
             for jobs in 1 4; do
                 "$build"/tools/didt_campaign --jobs "$jobs" \
@@ -90,8 +99,9 @@ if [[ $TSAN_ONLY -eq 0 ]]; then
         done
     done
     grep -q '"use_correlation": false' "$SMOKE_DIR/nocorr_build-ci_j1.json"
-    echo "no-correlation and int4 x cores 1,2 JSON identical across" \
-         "SIMD on/off and jobs 1/4"
+    grep -q '"yield_curve"' "$SMOKE_DIR/mc1b_build-ci_j1.json"
+    echo "no-correlation, int4 x cores 1,2 and 13-draw MC JSON identical" \
+         "across SIMD on/off and jobs 1/4"
 
     echo "=== sampled-campaign byte-identity: SIMD on/off x jobs 1/4 ==="
     # Sampling must be deterministic too: the same sampled sweep gives

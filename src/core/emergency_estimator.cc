@@ -1,7 +1,6 @@
 #include "core/emergency_estimator.hh"
 
 #include "obs/scoped_timer.hh"
-#include "stats/running_stats.hh"
 #include "util/logging.hh"
 #include "util/simd.hh"
 
@@ -87,30 +86,52 @@ estimateTraceSides(const CurrentTrace &trace,
 }
 
 void
+measureTraceSides(const CurrentTrace &trace,
+                  std::span<const SupplyNetwork *const> networks,
+                  Volt low_threshold, Volt high_threshold,
+                  AnalysisWorkspace &ws, std::span<EmergencyProfile> out)
+{
+    if (out.size() != networks.size())
+        didt_panic("measureTraceSides: ", networks.size(), " networks, ",
+                   out.size(), " outputs");
+    obs::ScopedTimer span("analysis.measure", obs::Histogram{}, nullptr,
+                          "core");
+    span.setArg("lanes", static_cast<long long>(networks.size()));
+    // Exact convolution through every network at once, one network
+    // per vector lane. Threshold counts are order-independent
+    // integers; the biquad and the Welford variance recurrence are
+    // sequential chains, and each stays scalar within its lane to keep
+    // its rounding exact.
+    ws.lanes.clear();
+    for (const SupplyNetwork *network : networks) {
+        const SupplyNetwork::Recursion &bq = network->recursion();
+        ws.lanes.push_back({bq.b0, bq.b1, bq.a1, bq.a2,
+                            network->config().nominalVoltage,
+                            network->resistance()});
+    }
+    ws.measured.resize(networks.size());
+    simd::kernels().measureNetworks(trace.data(), trace.size(),
+                                    ws.lanes.data(), ws.lanes.size(),
+                                    low_threshold, high_threshold,
+                                    ws.measured.data());
+    const double cycles = static_cast<double>(trace.size());
+    for (std::size_t k = 0; k < networks.size(); ++k) {
+        out[k].measuredBelow =
+            static_cast<double>(ws.measured[k].below) / cycles;
+        out[k].measuredAbove =
+            static_cast<double>(ws.measured[k].above) / cycles;
+        out[k].measuredVariance = ws.measured[k].variance;
+    }
+}
+
+void
 measureTraceSide(const CurrentTrace &trace, const SupplyNetwork &network,
                  Volt low_threshold, Volt high_threshold,
                  AnalysisWorkspace &ws, EmergencyProfile &profile)
 {
-    obs::ScopedTimer span("analysis.measure", obs::Histogram{}, nullptr,
-                          "core");
-    // Exact convolution through the network. Threshold counts are
-    // order-independent integers, so they go through the SIMD kernel;
-    // the Welford variance recurrence is a sequential reduction and
-    // stays scalar to keep its rounding exact.
-    network.computeVoltageInto(trace, ws.voltage);
-    std::uint64_t below = 0;
-    std::uint64_t above = 0;
-    simd::kernels().thresholdCounts(ws.voltage.data(), ws.voltage.size(),
-                                    low_threshold, high_threshold, &below,
-                                    &above);
-    RunningStats v_stats;
-    for (Volt v : ws.voltage)
-        v_stats.push(v);
-    profile.measuredBelow =
-        static_cast<double>(below) / static_cast<double>(ws.voltage.size());
-    profile.measuredAbove =
-        static_cast<double>(above) / static_cast<double>(ws.voltage.size());
-    profile.measuredVariance = v_stats.variance();
+    const SupplyNetwork *const networks[] = {&network};
+    measureTraceSides(trace, networks, low_threshold, high_threshold, ws,
+                      {&profile, 1});
 }
 
 } // namespace didt

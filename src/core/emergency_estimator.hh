@@ -100,10 +100,23 @@ void estimateTraceSides(const CurrentTrace &trace,
                         bool use_correlation = true);
 
 /**
- * The measured side of profileTrace(): the exact convolution of
- * @p trace through @p network, its threshold fractions and voltage
- * variance, into the measured fields of @p profile. Needs no model.
+ * The measured side of profileTrace() for several supply networks in
+ * one pass over @p trace: each network's exact convolution of the
+ * trace, its threshold fractions and its voltage variance, into the
+ * measured fields of out[k] for networks[k]; the estimated fields are
+ * left alone. One network per SIMD lane (simd::KernelTable::
+ * measureNetworks), each lane keeping the scalar op order, so out[k]
+ * is bit-identical to measuring networks[k] on its own and to the
+ * voltage trace of SupplyNetwork::computeVoltageInto. Writes no
+ * voltage buffer; @p ws holds only the lane descriptors.
  */
+void measureTraceSides(const CurrentTrace &trace,
+                       std::span<const SupplyNetwork *const> networks,
+                       Volt low_threshold, Volt high_threshold,
+                       AnalysisWorkspace &ws,
+                       std::span<EmergencyProfile> out);
+
+/** measureTraceSides() for one network. */
 void measureTraceSide(const CurrentTrace &trace,
                       const SupplyNetwork &network, Volt low_threshold,
                       Volt high_threshold, AnalysisWorkspace &ws,

@@ -27,6 +27,7 @@
 #include "stats/gaussian.hh"
 #include "stats/running_stats.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 #include "wavelet/dwt.hh"
 #include "wavelet/flat_decomposition.hh"
 #include "wavelet/wavelet_stats.hh"
@@ -78,6 +79,9 @@ struct AnalysisWorkspace
     std::vector<double> row;    ///< regression feature row
     CurrentTrace tiled;         ///< tiled calibration stimulus
     VoltageTrace voltage;       ///< supply-network response scratch
+    /** measureTraceSides() lane descriptors and results. */
+    std::vector<simd::BiquadLane> lanes;
+    std::vector<simd::MeasuredLane> measured;
 };
 
 /** The calibrated per-scale variance-gain model. */

@@ -8,8 +8,10 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <thread>
 
 #include "util/logging.hh"
+#include "util/simd.hh"
 
 namespace didt::obs
 {
@@ -424,6 +426,7 @@ MetricsRegistry::snapshot() const
               [](const MetricSnapshot &a, const MetricSnapshot &b) {
                   return a.name < b.name;
               });
+    snap.context = RunContext::current();
     return snap;
 }
 
@@ -450,6 +453,21 @@ MetricsRegistry::global()
 // Snapshot serialization
 // ---------------------------------------------------------------------------
 
+RunContext
+RunContext::current()
+{
+    RunContext context;
+    context.buildType = DIDT_BUILD_TYPE;
+    context.simdLevel = simd::levelName(simd::activeLevel());
+#ifdef DIDT_FAILPOINTS_OFF
+    context.failpoints = false;
+#else
+    context.failpoints = true;
+#endif
+    context.hostCpus = std::thread::hardware_concurrency();
+    return context;
+}
+
 const MetricSnapshot *
 MetricsSnapshot::find(const std::string &name) const
 {
@@ -464,6 +482,13 @@ MetricsSnapshot::toJson() const
 {
     JsonValue doc = JsonValue::object();
     doc.set("schema", "didt-metrics-v1");
+    JsonValue ctx = JsonValue::object();
+    ctx.set("build_type", context.buildType);
+    ctx.set("simd_level", context.simdLevel);
+    ctx.set("failpoints", context.failpoints);
+    ctx.set("jobs", static_cast<long long>(context.jobs));
+    ctx.set("host_cpus", static_cast<long long>(context.hostCpus));
+    doc.set("context", std::move(ctx));
     JsonValue arr = JsonValue::array();
     for (const MetricSnapshot &m : metrics) {
         JsonValue entry = JsonValue::object();

@@ -106,17 +106,40 @@ struct MetricSnapshot
     HistogramSnapshot histogram;
 };
 
+/**
+ * The run a snapshot describes, so numbers from two runs can be told
+ * apart from the artifacts alone (a SIMD-off build against a SIMD-on
+ * one, jobs 1 against jobs 4).
+ */
+struct RunContext
+{
+    std::string buildType;    ///< CMAKE_BUILD_TYPE of the libraries
+    std::string simdLevel;    ///< dispatched SIMD kernel level
+    bool failpoints = false;  ///< failpoint hooks compiled in
+    std::size_t jobs = 0;     ///< worker threads (0 = not recorded)
+    std::size_t hostCpus = 0; ///< hardware threads of the host
+
+    /** This process's build and host; jobs is left 0 for the
+     *  writer, which knows its pool, to set. */
+    static RunContext current();
+};
+
 /** A point-in-time aggregation of a whole registry, sorted by name. */
 struct MetricsSnapshot
 {
     std::vector<MetricSnapshot> metrics;
 
+    /** The run the snapshot came from (MetricsRegistry::snapshot()
+     *  fills it with RunContext::current()). */
+    RunContext context;
+
     /** Lookup by full name; nullptr when absent. */
     const MetricSnapshot *find(const std::string &name) const;
 
     /**
-     * Deterministic JSON document (schema "didt-metrics-v1"): metrics
-     * sorted by name, fixed member order per kind.
+     * Deterministic JSON document (schema "didt-metrics-v1"): the run
+     * context, then metrics sorted by name, fixed member order per
+     * kind.
      */
     JsonValue toJson() const;
 };

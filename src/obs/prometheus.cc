@@ -36,6 +36,13 @@ std::string
 prometheusText(const MetricsSnapshot &snapshot)
 {
     std::ostringstream os;
+    // The run context as an info gauge: the facts ride in the labels.
+    const RunContext &ctx = snapshot.context;
+    os << "# TYPE didt_build_info gauge\n"
+       << "didt_build_info{build_type=\"" << ctx.buildType
+       << "\",simd_level=\"" << ctx.simdLevel << "\",failpoints=\""
+       << (ctx.failpoints ? "true" : "false") << "\",jobs=\"" << ctx.jobs
+       << "\",host_cpus=\"" << ctx.hostCpus << "\"} 1\n";
     for (const MetricSnapshot &metric : snapshot.metrics) {
         const std::string family =
             prometheusFamilyName(metric.name, metric.kind);

@@ -9,7 +9,8 @@
  * form: one "_bucket" sample per upper edge with an `le` label, an
  * "le=\"+Inf\"" bucket equal to "_count", plus "_sum" and "_count".
  * Gauges additionally expose their high-water mark as a second
- * "<family>_max" gauge.
+ * "<family>_max" gauge. The snapshot's run context leads as the info
+ * gauge "didt_build_info" (value 1, the facts in its labels).
  *
  * Output is deterministic for a given snapshot (families in snapshot
  * order, i.e. sorted by source name; numbers via jsonNumber), so the

@@ -76,6 +76,17 @@ class ScopedTimer
     /** The span's trace id (0 when the sink was off at construction). */
     std::uint64_t spanId() const { return spanId_; }
 
+    /**
+     * Attach one integer arg to the span (a lane count, say), written
+     * under the trace event's "args". @p key must outlive the timer (a
+     * literal). A later call replaces the earlier one.
+     */
+    void setArg(const char *key, long long value)
+    {
+        argKey_ = key;
+        argValue_ = value;
+    }
+
   private:
     const std::string *label_ = nullptr;
     const char *category_;
@@ -85,6 +96,8 @@ class ScopedTimer
     Clock::time_point start_;
     std::uint64_t spanId_ = 0;
     std::uint64_t parentId_ = 0;
+    const char *argKey_ = nullptr;
+    long long argValue_ = 0;
 };
 
 } // namespace didt::obs

@@ -71,7 +71,8 @@ void
 TraceEventSink::record(std::string name, std::string category,
                        Clock::time_point start, Clock::time_point end,
                        std::uint64_t spanId, std::uint64_t parentId,
-                       std::string requestId, std::string batchId)
+                       std::string requestId, std::string batchId,
+                       const char *argKey, long long argValue)
 {
     if (!enabled())
         return;
@@ -87,6 +88,10 @@ TraceEventSink::record(std::string name, std::string category,
     event.parentId = parentId;
     event.requestId = std::move(requestId);
     event.batchId = std::move(batchId);
+    if (argKey != nullptr) {
+        event.argKey = argKey;
+        event.argValue = argValue;
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     events_.push_back(std::move(event));
 }
@@ -133,7 +138,8 @@ TraceEventSink::writeChromeTrace(const std::string &path) const
         e.set("ts", event.startUs);
         e.set("dur", event.durationUs);
         if (event.spanId != 0 || event.parentId != 0 ||
-            !event.requestId.empty() || !event.batchId.empty()) {
+            !event.requestId.empty() || !event.batchId.empty() ||
+            !event.argKey.empty()) {
             JsonValue args = JsonValue::object();
             if (event.spanId != 0)
                 args.set("span",
@@ -145,6 +151,8 @@ TraceEventSink::writeChromeTrace(const std::string &path) const
                 args.set("request", event.requestId);
             if (!event.batchId.empty())
                 args.set("batch", event.batchId);
+            if (!event.argKey.empty())
+                args.set(event.argKey, event.argValue);
             e.set("args", std::move(args));
         }
         arr.push(std::move(e));

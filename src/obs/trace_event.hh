@@ -47,6 +47,8 @@ struct TraceEvent
     std::uint64_t parentId = 0; ///< enclosing span's id (0 = root)
     std::string requestId;      ///< serve request the span belongs to
     std::string batchId;        ///< dispatcher batch the span belongs to
+    std::string argKey;         ///< name of the span's own arg (empty = none)
+    long long argValue = 0;     ///< value of that arg
 };
 
 /**
@@ -114,12 +116,15 @@ class TraceEventSink
      * Store one complete span with explicit tree linkage: @p spanId
      * names the span, @p parentId its enclosing span (0 = root), and
      * @p requestId / @p batchId attribute it to a serve request and
-     * dispatcher batch (empty = unattributed). No-op while disabled.
+     * dispatcher batch (empty = unattributed). A non-null @p argKey
+     * adds one integer arg of the span's own (a lane count, say). No-op
+     * while disabled.
      */
     void record(std::string name, std::string category,
                 Clock::time_point start, Clock::time_point end,
                 std::uint64_t spanId, std::uint64_t parentId,
-                std::string requestId, std::string batchId);
+                std::string requestId, std::string batchId,
+                const char *argKey = nullptr, long long argValue = 0);
 
     /** Number of stored events. */
     std::size_t eventCount() const;
@@ -134,8 +139,8 @@ class TraceEventSink
      * Write the stored events as Chrome trace_event JSON
      * ({"traceEvents": [...]}; loadable in Perfetto). Events are
      * sorted by start time so output is stable for a given set of
-     * spans. Span/parent ids and request/batch labels are emitted
-     * under "args". Fatal on I/O errors.
+     * spans. Span/parent ids, request/batch labels and the span's own
+     * arg are emitted under "args". Fatal on I/O errors.
      */
     void writeChromeTrace(const std::string &path) const;
 

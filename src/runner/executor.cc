@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <future>
 #include <optional>
 
@@ -10,6 +11,7 @@
 #include "power/variation.hh"
 #include "obs/scoped_timer.hh"
 #include "util/json.hh"
+#include "util/simd.hh"
 #include "verify/failpoint.hh"
 #include "wavelet/basis.hh"
 #include "workload/generator.hh"
@@ -38,6 +40,7 @@ struct CampaignMetrics
     obs::Counter cellFailures;
     obs::Counter cellsInterrupted;
     obs::Counter estimatePasses;
+    obs::Counter measurePasses;
     obs::Histogram cellMs;
     obs::Histogram calibrateMs;
 };
@@ -51,6 +54,7 @@ campaignMetrics()
         registry.counter("campaign.cell_failures"),
         registry.counter("campaign.cells_interrupted"),
         registry.counter("campaign.estimate_passes"),
+        registry.counter("campaign.measure_passes"),
         registry.histogram("campaign.cell_ms"),
         registry.histogram("campaign.calibrate_ms"),
     };
@@ -151,6 +155,20 @@ struct GroupEstimate
     std::mutex mutex;
     bool done = false;
     std::vector<EmergencyProfile> sides;
+};
+
+/**
+ * The measured side of one chunk of a group's cells: the chunk's
+ * members' supply networks measured in one pass over the group's
+ * trace, one network per SIMD lane. Filled by the first member of the
+ * chunk to run; the others copy their lane. Same mutex, flag and
+ * retry-after-throw scheme as GroupEstimate.
+ */
+struct MeasureChunk
+{
+    std::mutex mutex;
+    bool done = false;
+    std::vector<EmergencyProfile> sides; ///< measured fields, lane order
 };
 
 std::uint64_t
@@ -302,6 +320,19 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
     std::vector<GroupEstimate> groups(plan.workloadCount() *
                                       coreCounts.size());
 
+    // The measured sides of a group's cells (scales x draws) are
+    // independent recursions over the same trace, so they run in
+    // chunks of at most simd::kMeasureLanes networks, one pass each.
+    // Member j of a group (in submission order: scale-major, then
+    // draw) belongs to chunk j mod chunks_per_group, so the first
+    // cells submitted lead distinct chunks and workers do not queue on
+    // one chunk's pass.
+    const std::size_t draws = plan.spec.drawCount();
+    const std::size_t group_cells = scales.size() * draws;
+    const std::size_t chunks_per_group =
+        (group_cells + simd::kMeasureLanes - 1) / simd::kMeasureLanes;
+    std::vector<MeasureChunk> chunks(groups.size() * chunks_per_group);
+
     // Phase 3: the sweep itself. Cells are stored benchmark-major for
     // reporting but submitted in the plan's scale-major order, so the
     // first batch of tasks covers distinct benchmarks and primes the
@@ -318,6 +349,34 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
     cell_labels.reserve(plan.workloadCount());
     for (std::size_t pi = 0; pi < plan.workloadCount(); ++pi)
         cell_labels.push_back("cell " + plan.workloadName(pi));
+    // Fill one chunk: build its members' networks and measure them in
+    // one pass. A Monte Carlo draw perturbs the supply network only;
+    // the trace and the calibrated variance model stay nominal, so the
+    // per-draw spread measures chip yield and model robustness across
+    // process corners at once.
+    auto measureChunk = [&](std::size_t first, const CurrentTrace &trace,
+                            AnalysisWorkspace &ws, MeasureChunk &chunk) {
+        std::deque<SupplyNetwork> drawn; // stable addresses
+        std::vector<const SupplyNetwork *> networks;
+        for (std::size_t j = first; j < group_cells;
+             j += chunks_per_group) {
+            const std::size_t si = j / draws;
+            if (!plan.spec.isMonteCarlo()) {
+                networks.push_back(&models[si]->network);
+                continue;
+            }
+            obs::ScopedTimer build("network.build", obs::Histogram{},
+                                   nullptr, "power");
+            SupplyNetworkConfig varied = drawSupplyConfig(
+                setup_.supplyBase, plan.spec.variation(),
+                deriveDrawSeed(plan.spec.mcSeed, j % draws));
+            varied.impedanceScale = scales[si];
+            networks.push_back(&drawn.emplace_back(varied));
+        }
+        chunk.sides.assign(networks.size(), EmergencyProfile{});
+        measureTraceSides(trace, networks, plan.spec.lowThreshold,
+                          plan.spec.highThreshold, ws, chunk.sides);
+    };
     std::mutex progress_mutex;
     std::vector<std::future<void>> pending;
     std::vector<std::size_t> pendingCell; // submission order -> cell
@@ -345,9 +404,11 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
             continue;
         }
         pendingCell.push_back(ci);
-        GroupEstimate *group =
-            &groups[pi * coreCounts.size() + pc.coreIndex];
-        pending.push_back(pool_.submit([&, ci, pi, si, di, cores, group] {
+        const std::size_t group_index =
+            pi * coreCounts.size() + pc.coreIndex;
+        GroupEstimate *group = &groups[group_index];
+        pending.push_back(pool_.submit([&, ci, pi, si, di, cores,
+                                        group_index, group] {
             obs::ScopedTraceContext cell_scope(cell_context);
             obs::ScopedTimer span(cell_labels[pi],
                                   campaignMetrics().cellMs, nullptr,
@@ -377,20 +438,6 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
                         workspaces_[wi == ThreadPool::kNotAWorker
                                         ? pool_.size()
                                         : wi];
-                    const CalibratedScale &cal = *models[si];
-                    std::optional<SupplyNetwork> drawn;
-                    if (plan.spec.isMonteCarlo()) {
-                        // The draw perturbs the supply network only;
-                        // the trace and the calibrated variance model
-                        // stay nominal, so the per-draw spread
-                        // measures chip yield and model robustness
-                        // across process corners at once.
-                        SupplyNetworkConfig varied = drawSupplyConfig(
-                            setup_.supplyBase, plan.spec.variation(),
-                            deriveDrawSeed(plan.spec.mcSeed, di));
-                        varied.impedanceScale = scales[si];
-                        drawn.emplace(varied);
-                    }
                     obs::ScopedTimer profile_span("model.profile_trace",
                                                   obs::Histogram{},
                                                   nullptr, "core");
@@ -409,11 +456,25 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
                             campaignMetrics().estimatePasses.add(1);
                         }
                     }
+                    const std::size_t member = si * draws + di;
+                    MeasureChunk &chunk =
+                        chunks[group_index * chunks_per_group +
+                               member % chunks_per_group];
+                    {
+                        std::lock_guard<std::mutex> lock(chunk.mutex);
+                        if (!chunk.done) {
+                            measureChunk(member % chunks_per_group, *trace,
+                                         ws, chunk);
+                            chunk.done = true;
+                            campaignMetrics().measurePasses.add(1);
+                        }
+                    }
                     EmergencyProfile ep = group->sides[si];
-                    measureTraceSide(*trace,
-                                     drawn ? *drawn : cal.network,
-                                     plan.spec.lowThreshold,
-                                     plan.spec.highThreshold, ws, ep);
+                    const EmergencyProfile &measured =
+                        chunk.sides[member / chunks_per_group];
+                    ep.measuredBelow = measured.measuredBelow;
+                    ep.measuredAbove = measured.measuredAbove;
+                    ep.measuredVariance = measured.measuredVariance;
 
                     cell.traceCycles = trace->size();
                     cell.windows = ep.windows;

@@ -18,10 +18,13 @@
  * depends on the trace and the nominal model only. run() computes it
  * once per (workload, core count) group, for every scale of the plan
  * in one pass over the trace, in the first cell of the group that has
- * its trace. Every cell then runs only its own measured side (the
- * convolution of the trace through its network). Monte Carlo draws
- * perturb the measured side's network alone and never touch the
- * estimated side, so a draw costs one convolution, not a re-analysis.
+ * its trace. The cells' measured sides (the convolution of the trace
+ * through each cell's network) run in chunks of up to
+ * simd::kMeasureLanes networks, one pass over the trace per chunk and
+ * one network per SIMD lane, led by the chunk's first member to run.
+ * Monte Carlo draws perturb the measured side's network alone and
+ * never touch the estimated side, so a draw costs one lane of a
+ * convolution pass, not a re-analysis.
  *
  * Calibration caching: the training trace set depends only on the
  * experiment setup and is built once per executor; calibrated models

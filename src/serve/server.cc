@@ -313,8 +313,7 @@ Server::wait()
     // drain, and the operator wants the sidecar to describe the whole
     // run once the process exits.
     if (!config_.metricsOut.empty())
-        obs::writeMetricsJson(config_.metricsOut,
-                              obs::MetricsRegistry::global().snapshot());
+        obs::writeMetricsJson(config_.metricsOut, metricsSnapshot());
     started_ = false;
 }
 
@@ -458,9 +457,7 @@ Server::connectionLoop(Connection *conn)
                     request.wantPrometheus
                         ? statsPrometheusResponseJson(
                               request.id,
-                              obs::prometheusText(
-                                  obs::MetricsRegistry::global()
-                                      .snapshot()))
+                              obs::prometheusText(metricsSnapshot()))
                         : statsResponseJson(request.id, statsJson());
                 break;
             case RequestType::Events:
@@ -818,12 +815,20 @@ Server::metricsLoop()
         const bool stopping = stopCv_.wait_for(
             lock, interval, [this] { return stopRequested_; });
         lock.unlock();
-        obs::writeMetricsJson(config_.metricsOut,
-                              obs::MetricsRegistry::global().snapshot());
+        obs::writeMetricsJson(config_.metricsOut, metricsSnapshot());
         lock.lock();
         if (stopping)
             return;
     }
+}
+
+obs::MetricsSnapshot
+Server::metricsSnapshot() const
+{
+    obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::global().snapshot();
+    snapshot.context.jobs = executor_->jobs();
+    return snapshot;
 }
 
 JsonValue

@@ -148,6 +148,10 @@ class Server
     /** Daemon counters as the "stats" response payload. */
     JsonValue statsJson() const;
 
+    /** The process's metrics, with the executor's jobs in the run
+     *  context. */
+    obs::MetricsSnapshot metricsSnapshot() const;
+
     /** The bounded daemon-event ring (admissions, batches, faults). */
     const obs::EventLog &events() const { return events_; }
 

@@ -8,11 +8,12 @@
  * *independent outputs only*. The per-output accumulation order is
  * exactly the reference scalar order, so results are bit-for-bit
  * identical at every level (scalar fallback, SSE2, AVX2, NEON) and
- * across -DDIDT_SIMD=ON/OFF builds. Reductions that fold many inputs
- * into one value (energies, running statistics, dot products) are
- * deliberately *not* in the table: vectorizing them would reassociate
- * floating-point additions and change low-order bits (see DESIGN.md
- * section 11).
+ * across -DDIDT_SIMD=ON/OFF builds. A reduction that folds many inputs
+ * into one value (an energy, a running statistic, a dot product) is
+ * never vectorized along its own chain: that would reassociate
+ * floating-point additions and change low-order bits. Independent
+ * chains may share a vector, one chain per lane (measureNetworks; see
+ * DESIGN.md section 11).
  *
  * Backend selection: each backend lives in its own translation unit
  * (simd_kernels_<level>.cc) compiled with that ISA's flags; this
@@ -51,6 +52,34 @@ enum class Level
 
 /** Human-readable level name ("scalar", "sse2", ...). */
 const char *levelName(Level level);
+
+/**
+ * Supply networks one measureNetworks() pass over a trace advances
+ * together: two AVX2 vectors. A constant of the kernel, not a tuning
+ * knob: the campaign executor groups networks by it, so it must not
+ * depend on the dispatched level.
+ */
+inline constexpr std::size_t kMeasureLanes = 8;
+
+/**
+ * One supply network as measureNetworks() sees it: the biquad of
+ * SupplyNetwork::recursion(), the nominal voltage, and the DC
+ * resistance that sets the steady-state warm start.
+ */
+struct BiquadLane
+{
+    double b0, b1, a1, a2;
+    double nominal;
+    double resistance;
+};
+
+/** measureNetworks() result for one network. */
+struct MeasuredLane
+{
+    std::uint64_t below = 0; ///< samples with voltage < lo
+    std::uint64_t above = 0; ///< samples with voltage > hi
+    double variance = 0.0;   ///< population variance of the voltage
+};
 
 /**
  * Per-kernel function table. Every entry computes bit-for-bit the same
@@ -106,16 +135,6 @@ struct KernelTable
                            std::size_t klen, double *out);
 
     /**
-     * Count samples strictly below @p lo and strictly above @p hi
-     * (NaNs count for neither, matching scalar <
-     * and > comparisons). Integer counts are order-independent, so
-     * this is exact.
-     */
-    void (*thresholdCounts)(const double *v, std::size_t n, double lo,
-                            double hi, std::uint64_t *below,
-                            std::uint64_t *above);
-
-    /**
      * Histogram bin computation: bins[i] = floor((x[i] - lo) / width)
      * as a double (clamping to the bin range is the caller's job, kept
      * scalar so the final integer cast is shared with the reference).
@@ -145,6 +164,21 @@ struct KernelTable
     void (*gatedLinearIdle)(const double *peak, const double *util,
                             std::size_t n, double idle_fraction,
                             double *out);
+
+    /**
+     * The measured side of @p count supply networks over one current
+     * trace, one pass over @p x per kMeasureLanes networks and no
+     * voltage buffer. Each lane owns one network and runs exactly the
+     * scalar chain of SupplyNetwork::computeVoltageInto (warm start at
+     * steady state for x[0], droop = b0 x[i] + b1 x[i-1] + a1 d[i-1]
+     * + a2 d[i-2] left to right, v = nominal - droop) followed by the
+     * v < lo / v > hi counts and RunningStats::push's Welford chain
+     * (the first sample seeds the mean). Lanes never mix, so every
+     * level gives the scalar bits. For n == 0 every output is zero.
+     */
+    void (*measureNetworks)(const double *x, std::size_t n,
+                            const BiquadLane *nets, std::size_t count,
+                            double lo, double hi, MeasuredLane *out);
 };
 
 /** Best level the running CPU and build support (env DIDT_SIMD can
@@ -224,16 +258,16 @@ struct VecScalar
 
     static VecScalar floorv(VecScalar a) { return {std::floor(a.v)}; }
 
-    /** Bitmask of lanes where a < b (NaN compares false). */
-    static unsigned ltMask(VecScalar a, VecScalar b)
+    /** 1.0 in lanes where a < b, else 0.0 (NaN compares false). */
+    static VecScalar ltOnes(VecScalar a, VecScalar b)
     {
-        return a.v < b.v ? 1u : 0u;
+        return {a.v < b.v ? 1.0 : 0.0};
     }
 
-    /** Bitmask of lanes where a > b (NaN compares false). */
-    static unsigned gtMask(VecScalar a, VecScalar b)
+    /** 1.0 in lanes where a > b, else 0.0 (NaN compares false). */
+    static VecScalar gtOnes(VecScalar a, VecScalar b)
     {
-        return a.v > b.v ? 1u : 0u;
+        return {a.v > b.v ? 1.0 : 0.0};
     }
 };
 
@@ -289,16 +323,14 @@ struct VecSse2
         return {_mm_set_pd(std::floor(lanes[1]), std::floor(lanes[0]))};
     }
 
-    static unsigned ltMask(VecSse2 a, VecSse2 b)
+    static VecSse2 ltOnes(VecSse2 a, VecSse2 b)
     {
-        return static_cast<unsigned>(
-            _mm_movemask_pd(_mm_cmplt_pd(a.v, b.v)));
+        return {_mm_and_pd(_mm_cmplt_pd(a.v, b.v), _mm_set1_pd(1.0))};
     }
 
-    static unsigned gtMask(VecSse2 a, VecSse2 b)
+    static VecSse2 gtOnes(VecSse2 a, VecSse2 b)
     {
-        return static_cast<unsigned>(
-            _mm_movemask_pd(_mm_cmpgt_pd(a.v, b.v)));
+        return {_mm_and_pd(_mm_cmpgt_pd(a.v, b.v), _mm_set1_pd(1.0))};
     }
 };
 #endif // __SSE2__
@@ -356,16 +388,16 @@ struct VecAvx2
         return {_mm256_floor_pd(a.v)};
     }
 
-    static unsigned ltMask(VecAvx2 a, VecAvx2 b)
+    static VecAvx2 ltOnes(VecAvx2 a, VecAvx2 b)
     {
-        return static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ)));
+        return {_mm256_and_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ),
+                              _mm256_set1_pd(1.0))};
     }
 
-    static unsigned gtMask(VecAvx2 a, VecAvx2 b)
+    static VecAvx2 gtOnes(VecAvx2 a, VecAvx2 b)
     {
-        return static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ)));
+        return {_mm256_and_pd(_mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ),
+                              _mm256_set1_pd(1.0))};
     }
 };
 #endif // __AVX2__
@@ -414,18 +446,18 @@ struct VecNeon
 
     static VecNeon floorv(VecNeon a) { return {vrndmq_f64(a.v)}; }
 
-    static unsigned ltMask(VecNeon a, VecNeon b)
+    static VecNeon ltOnes(VecNeon a, VecNeon b)
     {
-        const uint64x2_t m = vcltq_f64(a.v, b.v);
-        return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1u) |
-                                     ((vgetq_lane_u64(m, 1) & 1u) << 1));
+        return {vreinterpretq_f64_u64(
+            vandq_u64(vcltq_f64(a.v, b.v),
+                      vreinterpretq_u64_f64(vdupq_n_f64(1.0))))};
     }
 
-    static unsigned gtMask(VecNeon a, VecNeon b)
+    static VecNeon gtOnes(VecNeon a, VecNeon b)
     {
-        const uint64x2_t m = vcgtq_f64(a.v, b.v);
-        return static_cast<unsigned>((vgetq_lane_u64(m, 0) & 1u) |
-                                     ((vgetq_lane_u64(m, 1) & 1u) << 1));
+        return {vreinterpretq_f64_u64(
+            vandq_u64(vcgtq_f64(a.v, b.v),
+                      vreinterpretq_u64_f64(vdupq_n_f64(1.0))))};
     }
 };
 #endif // __aarch64__ && __ARM_NEON

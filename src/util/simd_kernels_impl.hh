@@ -16,10 +16,12 @@
 #ifndef DIDT_UTIL_SIMD_KERNELS_IMPL_HH
 #define DIDT_UTIL_SIMD_KERNELS_IMPL_HH
 
-#include <bit>
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "util/simd.hh"
 
@@ -208,32 +210,6 @@ convolveSteadyImpl(const double *x, std::size_t start, std::size_t count,
 
 template <class V>
 void
-thresholdCountsImpl(const double *v, std::size_t n, double lo, double hi,
-                    std::uint64_t *below, std::uint64_t *above)
-{
-    constexpr std::size_t W = V::width;
-    const V vlo = V::set1(lo);
-    const V vhi = V::set1(hi);
-    std::uint64_t b = 0;
-    std::uint64_t a = 0;
-    std::size_t i = 0;
-    for (; i + W <= n; i += W) {
-        const V x = V::load(v + i);
-        b += static_cast<std::uint64_t>(std::popcount(V::ltMask(x, vlo)));
-        a += static_cast<std::uint64_t>(std::popcount(V::gtMask(x, vhi)));
-    }
-    for (; i < n; ++i) {
-        if (v[i] < lo)
-            ++b;
-        if (v[i] > hi)
-            ++a;
-    }
-    *below = b;
-    *above = a;
-}
-
-template <class V>
-void
 binIndicesImpl(const double *x, std::size_t n, double lo, double width,
                double *bins)
 {
@@ -283,6 +259,119 @@ gatedLinearIdleImpl(const double *peak, const double *util, std::size_t n,
                  (idle_fraction + (1.0 - idle_fraction) * util[i]);
 }
 
+/**
+ * One measureNetworks() pass for up to NV * width networks: lanes past
+ * @p count replicate the last network and their results are dropped.
+ * Per sample, every lane advances its biquad, its two threshold counts
+ * (exact in a double below 2^53) and its Welford mean/M2, in the
+ * scalar chain's op order.
+ */
+template <class V, std::size_t NV>
+void
+measureBlockImpl(const double *x, std::size_t n, const BiquadLane *nets,
+                 std::size_t count, double lo, double hi, MeasuredLane *out)
+{
+    constexpr std::size_t W = V::width;
+    constexpr std::size_t L = NV * W;
+    std::array<double, L> b0s, b1s, a1s, a2s, noms, res;
+    for (std::size_t l = 0; l < L; ++l) {
+        const BiquadLane &net = nets[std::min(l, count - 1)];
+        b0s[l] = net.b0;
+        b1s[l] = net.b1;
+        a1s[l] = net.a1;
+        a2s[l] = net.a2;
+        noms[l] = net.nominal;
+        res[l] = net.resistance;
+    }
+    V b0[NV], b1[NV], a1[NV], a2[NV], nom[NV];
+    V d1[NV], d2[NV], mean[NV], m2[NV], below[NV], above[NV];
+    const V vlo = V::set1(lo);
+    const V vhi = V::set1(hi);
+    const V first = V::set1(x[0]);
+#pragma GCC unroll 8
+    for (std::size_t k = 0; k < NV; ++k) {
+        b0[k] = V::load(&b0s[k * W]);
+        b1[k] = V::load(&b1s[k * W]);
+        a1[k] = V::load(&a1s[k * W]);
+        a2[k] = V::load(&a2s[k * W]);
+        nom[k] = V::load(&noms[k * W]);
+        // Warm start at steady state for the first sample.
+        d1[k] = V::load(&res[k * W]) * first;
+        d2[k] = d1[k];
+        // Sample 0: the previous input is the first sample itself, and
+        // the first push seeds the Welford mean.
+        const V d0 = ((b0[k] * first + b1[k] * first) + a1[k] * d1[k]) +
+                     a2[k] * d2[k];
+        const V v = nom[k] - d0;
+        below[k] = V::ltOnes(v, vlo);
+        above[k] = V::gtOnes(v, vhi);
+        mean[k] = v;
+        m2[k] = V::zero();
+        d2[k] = d1[k];
+        d1[k] = d0;
+    }
+    V prev = first;
+    for (std::size_t i = 1; i < n; ++i) {
+        const V cur = V::set1(x[i]);
+        const V count_i = V::set1(static_cast<double>(i + 1));
+#pragma GCC unroll 8
+        for (std::size_t k = 0; k < NV; ++k) {
+            const V d0 = ((b0[k] * cur + b1[k] * prev) + a1[k] * d1[k]) +
+                         a2[k] * d2[k];
+            const V v = nom[k] - d0;
+            below[k] = below[k] + V::ltOnes(v, vlo);
+            above[k] = above[k] + V::gtOnes(v, vhi);
+            const V delta = v - mean[k];
+            mean[k] = mean[k] + delta / count_i;
+            m2[k] = m2[k] + delta * (v - mean[k]);
+            d2[k] = d1[k];
+            d1[k] = d0;
+        }
+        prev = cur;
+    }
+    std::array<double, L> bl, ab, m2s;
+    for (std::size_t k = 0; k < NV; ++k) {
+        below[k].store(&bl[k * W]);
+        above[k].store(&ab[k * W]);
+        m2[k].store(&m2s[k * W]);
+    }
+    for (std::size_t l = 0; l < count; ++l) {
+        out[l].below = static_cast<std::uint64_t>(bl[l]);
+        out[l].above = static_cast<std::uint64_t>(ab[l]);
+        out[l].variance = m2s[l] / static_cast<double>(n);
+    }
+}
+
+template <class V, std::size_t... I>
+constexpr auto
+measureBlockTable(std::index_sequence<I...>)
+{
+    return std::array{&measureBlockImpl<V, I + 1>...};
+}
+
+template <class V>
+void
+measureNetworksImpl(const double *x, std::size_t n, const BiquadLane *nets,
+                    std::size_t count, double lo, double hi,
+                    MeasuredLane *out)
+{
+    constexpr std::size_t W = V::width;
+    static_assert(kMeasureLanes % W == 0);
+    // One block entry per vector count, so a block's state lives in
+    // registers whatever its size.
+    static constexpr auto blocks = measureBlockTable<V>(
+        std::make_index_sequence<kMeasureLanes / W>{});
+    if (n == 0) {
+        std::fill(out, out + count, MeasuredLane{});
+        return;
+    }
+    for (std::size_t first = 0; first < count; first += kMeasureLanes) {
+        const std::size_t lanes = std::min(kMeasureLanes, count - first);
+        blocks[(lanes + W - 1) / W - 1](x, n, nets + first, lanes, lo, hi,
+                                        out + first);
+    }
+}
+
 template <class V>
 KernelTable
 makeKernelTable()
@@ -292,10 +381,10 @@ makeKernelTable()
     t.dwtSynthesize = &dwtSynthesizeImpl<V>;
     t.modwtStep = &modwtStepImpl<V>;
     t.convolveSteady = &convolveSteadyImpl<V>;
-    t.thresholdCounts = &thresholdCountsImpl<V>;
     t.binIndices = &binIndicesImpl<V>;
     t.emaUpdate = &emaUpdateImpl<V>;
     t.gatedLinearIdle = &gatedLinearIdleImpl<V>;
+    t.measureNetworks = &measureNetworksImpl<V>;
     return t;
 }
 

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "didt/didt.hh"
+#include "util/simd.hh"
 
 using namespace didt;
 
@@ -285,8 +286,20 @@ TEST(MetricsSnapshot, JsonGolden)
     histogram.observe(0.5);
     histogram.observe(1.5);
 
+    // The run context is pinned so the golden does not depend on the
+    // host, the build or the dispatched SIMD level.
+    obs::MetricsSnapshot snapshot = registry.snapshot();
+    snapshot.context = {"RelWithDebInfo", "avx2", true, 4, 8};
+
     const std::string golden = R"({
   "schema": "didt-metrics-v1",
+  "context": {
+    "build_type": "RelWithDebInfo",
+    "simd_level": "avx2",
+    "failpoints": true,
+    "jobs": 4,
+    "host_cpus": 8
+  },
   "metrics": [
     {
       "name": "a.lat_ms",
@@ -321,7 +334,21 @@ TEST(MetricsSnapshot, JsonGolden)
     }
   ]
 })";
-    EXPECT_EQ(registry.snapshot().toJson().dump(), golden);
+    EXPECT_EQ(snapshot.toJson().dump(), golden);
+}
+
+TEST(MetricsSnapshot, RunContextDescribesThisProcess)
+{
+    obs::MetricsRegistry registry;
+    const obs::RunContext ctx = registry.snapshot().context;
+    EXPECT_FALSE(ctx.buildType.empty());
+    EXPECT_EQ(ctx.simdLevel, simd::levelName(simd::activeLevel()));
+#ifdef DIDT_FAILPOINTS_OFF
+    EXPECT_FALSE(ctx.failpoints);
+#else
+    EXPECT_TRUE(ctx.failpoints);
+#endif
+    EXPECT_EQ(ctx.jobs, 0u) << "the writer records its own jobs";
 }
 
 TEST(MetricsSnapshot, DiffSubtractsCountersAndHistograms)
@@ -466,6 +493,17 @@ TEST(Prometheus, TextExpositionRendersAllKinds)
     EXPECT_NE(text.find("didt_p_ms_sum 2\n"), std::string::npos);
 }
 
+TEST(Prometheus, BuildInfoGaugeCarriesTheRunContext)
+{
+    obs::MetricsRegistry registry;
+    obs::MetricsSnapshot snapshot = registry.snapshot();
+    snapshot.context = {"Release", "sse2", false, 2, 16};
+    EXPECT_EQ(obs::prometheusText(snapshot),
+              "# TYPE didt_build_info gauge\n"
+              "didt_build_info{build_type=\"Release\",simd_level=\"sse2\","
+              "failpoints=\"false\",jobs=\"2\",host_cpus=\"16\"} 1\n");
+}
+
 TEST(TraceEventSink, ChromeTraceCarriesSpanArgs)
 {
     obs::TraceEventSink sink;
@@ -484,6 +522,25 @@ TEST(TraceEventSink, ChromeTraceCarriesSpanArgs)
     EXPECT_GT(args->find("span")->asNumber(), 0.0);
     EXPECT_EQ(args->find("request")->asString(), "req-7");
     EXPECT_EQ(args->find("batch")->asString(), "batch-3");
+}
+
+TEST(TraceEventSink, ChromeTraceCarriesTheSpansOwnArg)
+{
+    obs::TraceEventSink sink;
+    sink.setEnabled(true);
+    {
+        obs::ScopedTimer timer("pass", obs::Histogram{}, &sink);
+        timer.setArg("lanes", 7);
+    }
+    ASSERT_EQ(sink.events().size(), 1u);
+    EXPECT_EQ(sink.events()[0].argKey, "lanes");
+    const std::string path =
+        testing::TempDir() + "obs_trace_own_arg_test.json";
+    sink.writeChromeTrace(path);
+    const JsonValue doc = readJsonFile(path);
+    const JsonValue *args = doc.find("traceEvents")->items()[0].find("args");
+    ASSERT_NE(args, nullptr);
+    EXPECT_EQ(args->find("lanes")->asNumber(), 7.0);
 }
 
 TEST(MetricsSnapshot, JsonRoundTripsThroughParser)

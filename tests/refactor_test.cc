@@ -31,8 +31,11 @@
 #include "runner/plan.hh"
 #include "runner/result_json.hh"
 #include "runner/trace_repository.hh"
+#include "stats/running_stats.hh"
 #include "util/json.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
+#include "workload/profile.hh"
 #include "verify/failpoint.hh"
 #include "wavelet/basis.hh"
 #include "wavelet/dwt.hh"
@@ -459,6 +462,151 @@ TEST(RefactorExecutor, MonteCarloCellMatchesStandaloneProfileTrace)
     EXPECT_EQ(repo.stats().simulations, 2u);
 }
 
+
+/** Restore CPU-probed SIMD dispatch when a test scope ends. */
+struct LevelGuard
+{
+    ~LevelGuard() { simd::clearForcedLevel(); }
+};
+
+/** @p count networks at a spread of scales: nominal, or each a Monte
+ *  Carlo draw (sigma 0.08 on R, resonance and Q). */
+std::vector<SupplyNetwork>
+spreadNetworks(std::size_t count, bool drawn)
+{
+    SupplyVariationSpec variation;
+    variation.sigmaR = 0.08;
+    variation.sigmaResonance = 0.08;
+    variation.sigmaQ = 0.08;
+    std::vector<SupplyNetwork> out;
+    for (std::size_t k = 0; k < count; ++k) {
+        SupplyNetworkConfig cfg = testNetwork().config();
+        if (drawn)
+            cfg = drawSupplyConfig(cfg, variation, deriveDrawSeed(7, k));
+        cfg.impedanceScale = 1.0 + 0.1 * static_cast<double>(k);
+        out.emplace_back(cfg);
+    }
+    return out;
+}
+
+TEST(RefactorSides, MeasureTraceSidesMatchesMeasureTraceSidePerNetwork)
+{
+    // One pass over the trace for many networks, one network per SIMD
+    // lane, must give each network the voltage trace's own counts and
+    // Welford variance. Network counts cover every remainder of the
+    // 1-, 2- and 4-wide levels and a second block of kMeasureLanes;
+    // trace lengths cover the first-sample seeding and a sampled trace.
+    TraceRequest request;
+    request.profile = profileByName("gzip");
+    request.instructions = 40000;
+    request.sampleDetail = 2048;
+    request.sampleSkip = 8192;
+    TraceRepository repo(executorSetup());
+    std::vector<CurrentTrace> traces;
+    for (const std::size_t cycles : {1u, 2u, 3u, 257u})
+        traces.push_back(pulsedTrace(cycles, 90 + cycles));
+    traces.push_back(*repo.get(request));
+
+    std::vector<simd::Level> levels{simd::Level::Scalar};
+    for (const simd::Level level :
+         {simd::Level::Sse2, simd::Level::Avx2, simd::Level::Neon})
+        if (simd::levelAvailable(level))
+            levels.push_back(level);
+
+    LevelGuard guard;
+    AnalysisWorkspace ws;
+    VoltageTrace voltage;
+    std::uint64_t below_total = 0;
+    std::uint64_t above_total = 0;
+    for (const bool drawn : {false, true}) {
+        for (const std::size_t count :
+             {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 13u}) {
+            const std::vector<SupplyNetwork> nets =
+                spreadNetworks(count, drawn);
+            std::vector<const SupplyNetwork *> ptrs;
+            for (const SupplyNetwork &net : nets)
+                ptrs.push_back(&net);
+            for (const CurrentTrace &trace : traces) {
+                // Thresholds either side of the first network's mean
+                // voltage, so both counts see samples.
+                nets.front().computeVoltageInto(trace, voltage);
+                const double centre = mean(voltage);
+                const double lo = centre - 1e-3;
+                const double hi = centre + 1e-3;
+                for (const simd::Level level : levels) {
+                    simd::forceLevel(level);
+                    std::vector<EmergencyProfile> got(count);
+                    got.front().estimatedVariance = 42.0;
+                    measureTraceSides(trace, ptrs, lo, hi, ws, got);
+                    ASSERT_EQ(ws.measured.size(), count);
+                    for (std::size_t k = 0; k < count; ++k) {
+                        SCOPED_TRACE(std::string(simd::levelName(level)) +
+                                     (drawn ? " drawn" : " nominal") +
+                                     " networks " + std::to_string(count) +
+                                     " lane " + std::to_string(k) +
+                                     " cycles " +
+                                     std::to_string(trace.size()));
+                        nets[k].computeVoltageInto(trace, voltage);
+                        std::uint64_t below = 0;
+                        std::uint64_t above = 0;
+                        RunningStats stats;
+                        for (const Volt v : voltage) {
+                            below += v < lo;
+                            above += v > hi;
+                            stats.push(v);
+                        }
+                        below_total += below;
+                        above_total += above;
+                        EXPECT_EQ(ws.measured[k].below, below);
+                        EXPECT_EQ(ws.measured[k].above, above);
+                        const double cycles =
+                            static_cast<double>(trace.size());
+                        EXPECT_EQ(bits(got[k].measuredBelow),
+                                  bits(static_cast<double>(below) / cycles));
+                        EXPECT_EQ(bits(got[k].measuredAbove),
+                                  bits(static_cast<double>(above) / cycles));
+                        EXPECT_EQ(bits(got[k].measuredVariance),
+                                  bits(stats.variance()));
+
+                        EmergencyProfile solo;
+                        measureTraceSide(trace, nets[k], lo, hi, ws, solo);
+                        EXPECT_EQ(bits(solo.measuredVariance),
+                                  bits(got[k].measuredVariance));
+                    }
+                    // The estimated fields are not the measured pass's
+                    // to write.
+                    EXPECT_EQ(got.front().estimatedVariance, 42.0);
+                }
+            }
+        }
+    }
+    EXPECT_GT(below_total, 0u);
+    EXPECT_GT(above_total, 0u);
+}
+
+TEST(RefactorExecutor, ChunkedMonteCarloIsByteIdenticalAcrossJobCounts)
+{
+    // 5 scales x 13 draws = 65 measured sides in 9 chunks of at most
+    // kMeasureLanes networks: neither the chunk count nor its members
+    // are multiples of any vector width, and which worker leads which
+    // chunk must not show in the bytes.
+    const ExperimentSetup &setup = executorSetup();
+    CampaignSpec spec = monteCarloSpec();
+    spec.profiles.resize(1);
+    spec.impedanceScales = {1.0, 1.1, 1.2, 1.35, 1.5};
+    spec.mcDraws = 13;
+    TraceRepository serial_repo(setup);
+    const CampaignResult serial =
+        runCharacterizationCampaign(setup, spec, serial_repo, 1);
+    TraceRepository parallel_repo(setup);
+    const CampaignResult parallel =
+        runCharacterizationCampaign(setup, spec, parallel_repo, 4);
+    ASSERT_EQ(serial.cells.size(), 65u);
+    EXPECT_EQ(serial.failedCells(), 0u);
+    EXPECT_EQ(campaignToJson(serial).dump(),
+              campaignToJson(parallel).dump());
+}
+
 /** Every failpoint test starts and ends with a clean registry; a
  *  -DDIDT_FAILPOINTS=OFF build compiles the sites out, so there these
  *  tests skip. */
@@ -544,6 +692,44 @@ TEST_F(RefactorExecutorFaults, FailedFirstProductionStillFillsItsGroup)
         if (cell.benchmark == failed_workload && !cell.failed)
             ++survivors;
     EXPECT_GT(survivors, 0u) << "the group's later cells must recover";
+}
+
+TEST_F(RefactorExecutorFaults, FaultedChunkLeaderLeavesItsChunkUnchanged)
+{
+    // One workload, 5 scales x 13 draws: member j of the group (scale
+    // j / 13, draw j % 13) belongs to chunk j mod 9, so scale 1 draw 3
+    // is the first member of chunk 3. Faulting it hands the chunk's
+    // pass to a later member; every other cell keeps its bytes.
+    const ExperimentSetup &setup = executorSetup();
+    CampaignSpec spec = monteCarloSpec();
+    spec.profiles.resize(1);
+    spec.impedanceScales = {1.0, 1.1, 1.2, 1.35, 1.5};
+    spec.mcDraws = 13;
+    TraceRepository clean_repo(setup);
+    const CampaignResult clean =
+        runCharacterizationCampaign(setup, spec, clean_repo, 1);
+
+    const std::string key = "mc-a@" + jsonNumber(1.0) + "@d3";
+    verify::armFailPoint("campaign.cell",
+                         verify::TriggerPolicy::keyEquals(key));
+    for (const std::size_t jobs : {1u, 3u}) {
+        TraceRepository faulted_repo(setup);
+        const CampaignResult faulted =
+            runCharacterizationCampaign(setup, spec, faulted_repo, jobs);
+        ASSERT_EQ(clean.cells.size(), faulted.cells.size());
+        std::size_t failed = 0;
+        for (std::size_t i = 0; i < faulted.cells.size(); ++i) {
+            if (faulted.cells[i].failed) {
+                ++failed;
+                EXPECT_EQ(faulted.cells[i].impedanceScale, 1.0);
+                EXPECT_EQ(faulted.cells[i].draw, 3u);
+                continue;
+            }
+            EXPECT_EQ(cellJson(clean, i), cellJson(faulted, i))
+                << "cell " << i << " at jobs " << jobs;
+        }
+        EXPECT_EQ(failed, 1u);
+    }
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "runner/result_json.hh"
 #include "runner/thread_pool.hh"
 #include "runner/trace_repository.hh"
+#include "util/simd.hh"
 
 namespace didt
 {
@@ -369,6 +370,48 @@ TEST(Campaign, EstimatedSideRunsOncePerWorkloadAndCoreCount)
     for (const CampaignCell &cell : drawn.cells)
         EXPECT_FALSE(cell.failed) << cell.error;
     EXPECT_EQ(estimatePasses() - mid, 2.0) << "2 workloads x 1 core count";
+}
+
+/** campaign.measure_passes so far in this process. */
+double
+measurePasses()
+{
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    const obs::MetricSnapshot *passes =
+        snap.find("campaign.measure_passes");
+    return passes ? passes->value : 0.0;
+}
+
+TEST(Campaign, MeasurePassesArePerChunk)
+{
+    // A group's measured sides (scales x draws) run in chunks of at
+    // most kMeasureLanes networks, one pass over the trace each.
+    ASSERT_EQ(simd::kMeasureLanes, 8u);
+    CampaignSpec sweep = tinySpec();
+    sweep.coreCounts = {1, 2};
+    TraceRepository sweep_repo(sharedSetup());
+    const double before = measurePasses();
+    const CampaignResult swept =
+        runCharacterizationCampaign(sharedSetup(), sweep, sweep_repo, 2);
+    for (const CampaignCell &cell : swept.cells)
+        EXPECT_FALSE(cell.failed) << cell.error;
+    EXPECT_EQ(measurePasses() - before, 4.0)
+        << "4 groups of 2 scales: one chunk each";
+
+    CampaignSpec mc = tinySpec();
+    mc.mcDraws = 13;
+    mc.mcSeed = 3;
+    mc.mcSigmaR = 0.05;
+    TraceRepository mc_repo(sharedSetup());
+    const double mid = measurePasses();
+    const CampaignResult drawn =
+        runCharacterizationCampaign(sharedSetup(), mc, mc_repo, 3);
+    ASSERT_EQ(drawn.cells.size(), 52u);
+    for (const CampaignCell &cell : drawn.cells)
+        EXPECT_FALSE(cell.failed) << cell.error;
+    EXPECT_EQ(measurePasses() - mid, 2.0 * 4.0)
+        << "2 groups of 2 scales x 13 draws: ceil(26 / 8) chunks each";
 }
 
 TEST(Campaign, GenericCellFanOutPreservesIndexOrder)

@@ -266,28 +266,44 @@ TEST(SimdEquivalence, ConvolveIntoBitIdenticalAtEveryLength)
 
 TEST(SimdEquivalence, ThresholdCountsMatchScalarLoop)
 {
-    LevelGuard guard;
-    std::vector<double> v = noisySignal(1003, 31);
-    v[17] = std::numeric_limits<double>::quiet_NaN();
-    v[500] = -0.5; // exactly at the low threshold: not strictly below
+    // measureNetworks' threshold counts are strict comparisons in every
+    // lane: a voltage exactly at a threshold counts for neither side,
+    // and once a NaN enters a lane's recursion it counts for neither.
+    // Pass-through lanes (droop = current, v = nominal - current) make
+    // the voltages exact, so the thresholds can be hit on the nose;
+    // five lanes leave a remainder at every vector width.
+    std::vector<double> x = noisySignal(1003, 31);
     const double lo = -0.5;
     const double hi = 0.5;
-
-    std::uint64_t ref_below = 0;
-    std::uint64_t ref_above = 0;
-    for (double x : v) {
-        if (x < lo)
-            ++ref_below;
-        if (x > hi)
-            ++ref_above;
+    std::vector<simd::BiquadLane> lanes;
+    for (std::size_t k = 0; k < 5; ++k) {
+        const double nominal = 0.25 * static_cast<double>(k);
+        lanes.push_back({1.0, 0.0, 0.0, 0.0, nominal, 1.0});
+        x[500 + k] = nominal - lo; // v == lo in lane k
+        x[600 + k] = nominal - hi; // v == hi in lane k
     }
+    x[900] = std::numeric_limits<double>::quiet_NaN();
+
+    // The NaN reaches the recursion state (0 * NaN is NaN), so every
+    // later voltage of the lane is NaN too.
+    std::vector<simd::MeasuredLane> ref(lanes.size());
+    for (std::size_t k = 0; k < lanes.size(); ++k)
+        for (std::size_t i = 0; i < 900; ++i) {
+            const double v = lanes[k].nominal - x[i];
+            ref[k].below += v < lo;
+            ref[k].above += v > hi;
+        }
     for (simd::Level level : vectorLevels()) {
-        std::uint64_t below = 0;
-        std::uint64_t above = 0;
-        simd::kernelsFor(level).thresholdCounts(v.data(), v.size(), lo, hi,
-                                                &below, &above);
-        EXPECT_EQ(below, ref_below) << simd::levelName(level);
-        EXPECT_EQ(above, ref_above) << simd::levelName(level);
+        std::vector<simd::MeasuredLane> got(lanes.size());
+        simd::kernelsFor(level).measureNetworks(x.data(), x.size(),
+                                                lanes.data(), lanes.size(),
+                                                lo, hi, got.data());
+        for (std::size_t k = 0; k < lanes.size(); ++k) {
+            EXPECT_EQ(got[k].below, ref[k].below)
+                << simd::levelName(level) << " lane " << k;
+            EXPECT_EQ(got[k].above, ref[k].above)
+                << simd::levelName(level) << " lane " << k;
+        }
     }
 }
 

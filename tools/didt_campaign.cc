@@ -437,8 +437,9 @@ main(int argc, char **argv)
         std::printf("(csv written to %s)\n", opts.get("csv").c_str());
     }
 
-    const obs::MetricsSnapshot snapshot =
+    obs::MetricsSnapshot snapshot =
         obs::MetricsRegistry::global().snapshot();
+    snapshot.context.jobs = jobs;
     if (!opts.get("metrics-out").empty()) {
         obs::writeMetricsJson(opts.get("metrics-out"), snapshot);
         std::printf("(metrics written to %s)\n",

@@ -4,11 +4,13 @@
  * Prometheus text exposition `didt_client stats --prom` emits.
  *
  * JSON mode checks a --metrics-out file against the checked-in schema
- * (schemas/didt-metrics-v1.json): schema tag, metric member sets per
- * kind, name ordering, histogram bucket/bound consistency, and the
- * presence of the always-emitted metric names. Prometheus mode checks
- * exposition-format invariants: legal metric names, a TYPE declaration
- * preceding every sample, counters named *_total, histogram bucket
+ * (schemas/didt-metrics-v1.json): schema tag, the run context's
+ * members, metric member sets per kind, name ordering, histogram
+ * bucket/bound consistency, and the presence of the always-emitted
+ * metric names. Prometheus mode checks exposition-format invariants:
+ * legal metric names, a TYPE declaration preceding every sample,
+ * counters named *_total, labels only on histogram series and *_info
+ * gauges, the didt_build_info run-context gauge, histogram bucket
  * cumulativity, and +Inf bucket == _count with _sum present. Exits 0
  * on success so check.sh can gate on either.
  *
@@ -135,6 +137,7 @@ checkPrometheus(const std::string &path)
     std::map<std::string, std::string> types;
     std::map<std::string, HistogramState> histograms;
     std::size_t samples = 0;
+    bool sawBuildInfo = false;
     std::string line;
     std::size_t lineno = 0;
     while (std::getline(in, line)) {
@@ -228,8 +231,19 @@ checkPrometheus(const std::string &path)
             continue;
         }
         if (type->second != "histogram") {
-            if (!labels.empty())
+            const bool info =
+                type->second == "gauge" && endsWith(name, "_info");
+            if (!labels.empty() && !info)
                 fail(context, ": unexpected labels on '", name, "'");
+            if (name == "didt_build_info") {
+                sawBuildInfo = true;
+                for (const char *label :
+                     {"build_type=\"", "simd_level=\"", "failpoints=\"",
+                      "jobs=\"", "host_cpus=\""})
+                    if (labels.find(label) == std::string::npos)
+                        fail(context, ": didt_build_info lacks label ",
+                             label, "\"");
+            }
             continue;
         }
         HistogramState &state = histograms[family];
@@ -253,6 +267,8 @@ checkPrometheus(const std::string &path)
         }
     }
 
+    if (!sawBuildInfo)
+        fail(path, ": no didt_build_info run-context gauge");
     for (const auto &[family, type] : types) {
         if (type != "histogram")
             continue;
@@ -316,6 +332,12 @@ main(int argc, char **argv)
         tag->asString() != expected_tag->asString())
         fail("document: schema is '", tag->asString(), "', expected '",
              expected_tag->asString(), "'");
+
+    if (const JsonValue *required = schema.find("required_context")) {
+        if (const JsonValue *context = member(doc, "document", "context"))
+            for (const JsonValue &name : required->items())
+                member(*context, "context", name.asString());
+    }
 
     const JsonValue *required_members =
         member(schema, "schema", "required_members");
