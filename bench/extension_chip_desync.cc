@@ -126,26 +126,35 @@ main(int argc, char **argv)
     // mix, lockstep vs staggered actuation phases.
     const std::vector<ChipWorkload> workloads = mixWorkloads(
         mixByName("inphase-" + control_bench), cores, seed);
-    ChipCosimConfig cfg;
+    CosimConfig cfg;
     cfg.instructions = instructions;
     cfg.control.tolerance = opts.getDouble("tolerance");
+    cfg.varianceLevels = 8;
 
+    struct ChipScheme
+    {
+        const char *label;
+        ControlScheme scheme;
+        bool staggered;
+    };
     Table schemes({"scheme", "control_cycles", "resonance_var",
                    "min_voltage_v", "low_faults", "committed"});
     double var_independent = 0.0;
     double var_desync = 0.0;
-    for (const ChipControlScheme scheme :
-         {ChipControlScheme::None, ChipControlScheme::Independent,
-          ChipControlScheme::Staggered}) {
-        cfg.scheme = scheme;
-        const ChipCosimResult r =
-            runChipClosedLoop(workloads, setup, network, cfg);
-        if (scheme == ChipControlScheme::Independent)
+    for (const ChipScheme &chip :
+         {ChipScheme{"chip-none", ControlScheme::None, false},
+          ChipScheme{"chip-independent", ControlScheme::Wavelet, false},
+          ChipScheme{"chip-staggered", ControlScheme::Wavelet, true}}) {
+        cfg.scheme = chip.scheme;
+        cfg.staggered = chip.staggered;
+        const CosimResult r = runClosedLoop(workloads, setup.proc,
+                                            setup.power, network, cfg);
+        if (chip.scheme != ControlScheme::None && !chip.staggered)
             var_independent = r.resonanceBandVariance();
-        if (scheme == ChipControlScheme::Staggered)
+        if (chip.staggered)
             var_desync = r.resonanceBandVariance();
         schemes.newRow();
-        schemes.add(r.scheme);
+        schemes.add(std::string(chip.label));
         schemes.add(static_cast<long long>(r.controlCycles));
         schemes.add(r.resonanceBandVariance(), 4);
         schemes.add(r.minVoltage, 4);

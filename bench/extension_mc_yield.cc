@@ -75,6 +75,8 @@ main(int argc, char **argv)
     spec.mcSigmaR = opts.getDouble("sigma");
     spec.mcSigmaResonance = opts.getDouble("sigma");
     spec.mcSigmaQ = opts.getDouble("sigma-q");
+    if (std::string error; !spec.validate(&error))
+        didt_fatal("invalid campaign spec: ", error);
 
     TraceRepository repo(setup);
     const CampaignResult result = runCharacterizationCampaign(

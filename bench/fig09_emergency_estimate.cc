@@ -14,6 +14,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hh"
 
@@ -43,6 +44,8 @@ main(int argc, char **argv)
     spec.instructions =
         static_cast<std::uint64_t>(opts.getInt("instructions"));
     spec.seed = static_cast<std::uint64_t>(opts.getInt("seed"));
+    if (std::string error; !spec.validate(&error))
+        didt_fatal("invalid campaign spec: ", error);
 
     TraceRepository repo(setup);
     const CampaignResult result = runCharacterizationCampaign(

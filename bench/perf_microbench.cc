@@ -159,8 +159,9 @@ BENCHMARK(BM_ProcessorStep);
  * (mcf) synthetic stream instead of the dI/dt virus. The classes
  * stress different pipeline paths — mcf keeps the window full of
  * stalled loads, mgrid exercises the FP issue ports — so a hot-loop
- * regression that BM_ProcessorStep's virus misses shows up here
- * (BENCH_simloop.json records the per-class before/after).
+ * regression that BM_ProcessorStep's virus misses shows up here.
+ * End to end, perfbench's control workload times unsampled
+ * simulation.
  */
 void
 BM_ProcessorStepClass(benchmark::State &state)
@@ -188,8 +189,8 @@ BENCHMARK(BM_ProcessorStepClass)
  * row runs the validated 4096/28672/512 configuration (12.5% detailed
  * cycles — the most aggressive geometry verify::Oracle::checkSampling
  * holds green across all 26 profiles), covering the same virtual
- * cycles; BENCH_simloop.json pairs the rows into the measured speedup
- * and tests/simfast_test.cc bounds what the skip costs in analysis
+ * cycles; the ratio of the two rows is the sampling speedup, and
+ * tests/simfast_test.cc bounds what the skip costs in analysis
  * accuracy.
  */
 void
@@ -266,7 +267,7 @@ BENCHMARK(BM_SampledCampaign)
  * behind private L1s and the shared banked L2. Read against
  * BM_ProcessorStep, the cores=1 row prices the Chip wrapper over the
  * bare uniprocessor and the 2/4-core rows price lockstep stepping
- * plus aggregation (BENCH_cmp.json records the measured scaling).
+ * plus aggregation.
  */
 void
 BM_ChipStep(benchmark::State &state)
@@ -561,8 +562,8 @@ BENCHMARK(BM_CampaignFailpointOverhead)
 
 // ---------------------------------------------------------------------------
 // SIMD kernel rows: each benchmark takes a leading "simd" argument
-// (0 = scalar reference, 1 = best CPU-dispatched level) so
-// BENCH_simd.json can pair the rows into speedups. Results are
+// (0 = scalar reference, 1 = best CPU-dispatched level), so each
+// pair of rows gives that kernel's speedup. Results are
 // bit-identical either way (tests/simd_test.cc); only the time moves.
 // ---------------------------------------------------------------------------
 

@@ -27,7 +27,6 @@
 #define DIDT_DIDT_HH
 
 #include "core/controller.hh"
-#include "core/chip_cosim.hh"
 #include "core/cosim.hh"
 #include "core/emergency_estimator.hh"
 #include "core/experiment.hh"

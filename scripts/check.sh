@@ -4,7 +4,8 @@
 # subsystems' tests under ThreadSanitizer, plus a metrics sidecar smoke
 # run validated against the checked-in schema, plus the SIMD
 # determinism gate (campaign JSON byte-identical across
-# -DDIDT_SIMD=ON/OFF and --jobs 1/4, Monte Carlo legs included), plus the didt_serve service
+# -DDIDT_SIMD=ON/OFF and --jobs 1/4, Monte Carlo legs included; the
+# closed-loop bench CSVs across -DDIDT_SIMD=ON/OFF), plus the didt_serve service
 # smoke (scripts/serve_smoke.sh: a daemon replay reproduces a batch
 # campaign byte for byte and drains cleanly on SIGTERM).
 #
@@ -39,7 +40,9 @@ if [[ $TSAN_ONLY -eq 0 ]]; then
 
     echo "=== scalar-fallback build (-DDIDT_SIMD=OFF) + simd label ==="
     cmake -B build-scalar -S . -DDIDT_WERROR=ON -DDIDT_SIMD=OFF
-    cmake --build build-scalar -j "$JOBS" --target simd_test didt_campaign
+    cmake --build build-scalar -j "$JOBS" --target simd_test didt_campaign \
+        table2_scheme_comparison extension_adaptive_control \
+        extension_chip_desync
     ctest --test-dir build-scalar -L simd --output-on-failure -j "$JOBS"
 
     echo "=== campaign JSON byte-identity: SIMD on/off x jobs 1/4 ==="
@@ -126,6 +129,27 @@ if [[ $TSAN_ONLY -eq 0 ]]; then
     fi
     echo "sampled campaign JSON identical across SIMD on/off and jobs 1/4"
 
+    echo "=== closed-loop byte-identity: SIMD on/off ==="
+    # The one closed-loop driver under every scheme the benches run:
+    # analog, full-convolution, damping and wavelet (Table 2), adaptive,
+    # and a 4-core chip with no, lockstep and staggered control. The
+    # per-cycle feedback leaves no room for a kernel to differ by a
+    # bit, so each CSV must match across the two builds.
+    for build in build-ci build-scalar; do
+        "$build"/bench/table2_scheme_comparison --instructions 20000 \
+            --jobs 2 --csv "$SMOKE_DIR/table2_$build.csv" > /dev/null
+        "$build"/bench/extension_adaptive_control --instructions 20000 \
+            --csv "$SMOKE_DIR/adaptive_$build.csv" > /dev/null
+        "$build"/bench/extension_chip_desync --instructions 20000 \
+            --csv "$SMOKE_DIR/desync_$build.csv" > /dev/null
+    done
+    for leg in table2 adaptive desync; do
+        cmp "$SMOKE_DIR/${leg}_build-ci.csv" \
+            "$SMOKE_DIR/${leg}_build-scalar.csv"
+    done
+    grep -q '^chip-staggered,' "$SMOKE_DIR/desync_build-ci.csv"
+    echo "closed-loop CSVs identical across SIMD on/off"
+
     echo "=== fault-injection smoke: failed cells recorded, byte-identical ==="
     # A campaign with an injected cell fault and a dead disk cache must
     # still exit 0, mark exactly the faulted cell in the JSON, and stay
@@ -140,6 +164,23 @@ if [[ $TSAN_ONLY -eq 0 ]]; then
     grep -q 'injected fault (campaign.cell): mcf@1.2' \
         "$SMOKE_DIR/fault_j1.json"
     echo "faulted campaign JSON identical across jobs 1/4, 1 failed cell"
+
+    echo "=== bad spec flags on the campaign benches: exit 1, not a signal ==="
+    # The benches that build a campaign spec from their own flags
+    # validate it as didt_campaign does: an impossible spec is a usage
+    # error (exit 1), never an uncaught exception (exit 134).
+    for bad in "fig09_emergency_estimate --threshold 1.05" \
+               "extension_mc_yield --draws 200000" \
+               "extension_mc_yield --impedance 0"; do
+        rc=0
+        # shellcheck disable=SC2086  # $bad is a binary plus its flags
+        build-ci/bench/$bad > /dev/null 2>&1 || rc=$?
+        if [[ $rc -ne 1 ]]; then
+            echo "FAIL: bench/$bad exited $rc, want 1" >&2
+            exit 1
+        fi
+    done
+    echo "bad bench spec flags exit 1"
 
     echo "=== Monte Carlo campaign byte-identity: jobs 1/4, off = seed bytes ==="
     # The variation-aware draw axis must be as deterministic as the

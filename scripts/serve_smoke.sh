@@ -6,7 +6,9 @@
 # armed (the faulted request becomes a per-request error; the daemon
 # still drains cleanly and exits 0 on SIGTERM). A spec the wavelet
 # analysis cannot run (--levels 12 on a 256-cycle window) must come
-# back as a typed bad_request while the daemon keeps serving.
+# back as a typed bad_request while the daemon keeps serving, and a
+# replay file holding an out-of-range number must fail in the client
+# with a typed error.
 #
 #   BUILD_DIR=build scripts/serve_smoke.sh
 #
@@ -132,14 +134,28 @@ stop_server
 
 echo "=== bad spec leg (--levels 12 on a 256-cycle window) ==="
 start_server --jobs 2
-# 2^12 does not divide 256: a typed per-request error (client exit 3),
-# never a daemon exit.
+# 2^12 does not divide 256. characterize validates the spec it builds
+# and refuses it in the client (exit 1)...
 status=0
 "$CLIENT" characterize --socket "$SOCK" --benchmarks gzip \
-    --instructions 20000 --window 256 --levels 12 --id g1 \
+    --instructions 20000 --window 256 --levels 12 \
+    2> "$WORK/bad_cli.err" || status=$?
+if [[ $status -ne 1 ]]; then
+    echo "FAIL: bad-spec characterize exited $status, want 1" >&2
+    cat "$WORK/bad_cli.err" >&2
+    exit 1
+fi
+grep -q "invalid campaign spec" "$WORK/bad_cli.err"
+# ...while a replayed bare spec reaches the daemon unchecked and must
+# come back as a typed per-request error (client exit 3), never a
+# daemon exit.
+echo '{"benchmarks":["gzip"],"instructions":20000,"window":256,"levels":12}' \
+    > "$WORK/bad_spec_in.json"
+status=0
+"$CLIENT" replay "$WORK/bad_spec_in.json" --socket "$SOCK" --id g1 \
     --out "$WORK/bad_spec.json" 2> "$WORK/bad_spec.err" || status=$?
 if [[ $status -ne 3 ]]; then
-    echo "FAIL: bad-spec characterize exited $status, want 3" >&2
+    echo "FAIL: bad-spec replay exited $status, want 3" >&2
     cat "$WORK/bad_spec.err" >&2
     exit 1
 fi
@@ -150,6 +166,18 @@ grep -q "(id g1)" "$WORK/bad_spec.err" || {
     cat "$WORK/bad_spec.err" >&2
     exit 1
 }
+# A replay file whose number overflows a double is refused by the
+# client itself: a typed error and exit 1, never an abort.
+echo '{"impedances":[1e309]}' > "$WORK/overflow_spec.json"
+status=0
+"$CLIENT" replay "$WORK/overflow_spec.json" --socket "$SOCK" \
+    2> "$WORK/overflow.err" || status=$?
+if [[ $status -ne 1 ]]; then
+    echo "FAIL: overflowing replay file exited $status, want 1" >&2
+    cat "$WORK/overflow.err" >&2
+    exit 1
+fi
+grep -q "out of range" "$WORK/overflow.err"
 # The daemon survived: it still answers, then drains to exit 0.
 "$CLIENT" ping --socket "$SOCK"
 stop_server

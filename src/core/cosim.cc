@@ -1,15 +1,17 @@
 #include "core/cosim.hh"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "core/monitor.hh"
 #include "core/online_characterizer.hh"
 #include "obs/metrics.hh"
 #include "obs/scoped_timer.hh"
-#include "sim/processor.hh"
 #include "util/logging.hh"
-#include "workload/generator.hh"
+#include "wavelet/modwt.hh"
 
 namespace didt
 {
@@ -18,88 +20,48 @@ namespace
 {
 
 /**
- * The per-cycle loop, templated on the concrete monitor type: when
- * MonitorT is one of the final monitor classes the compiler resolves
- * monitor->update() statically and inlines it, removing the per-cycle
- * virtual dispatch behind fig15/table2. Instantiated with the abstract
- * VoltageMonitor when cfg.devirtualize is off, which reproduces the
- * original per-cycle virtual path. The body is identical either way,
- * so results are bit-for-bit the same.
- *
- * The loop runs in chunks with the maxCycles budget hoisted out of the
- * inner loop; as before, the cycle that exhausts the instruction
- * stream still completes in full.
+ * The decision history as a ring: slot(0) is the most recent
+ * controller decision, slot(d) the decision from d cycles ago. Core i
+ * applies slot(i * stride), stride 0 under lockstep actuation. The
+ * index wraps by a compare, not a division: it runs every cycle.
  */
-template <class MonitorT>
-void
-runLoop(Processor &processor, SupplyStream &supply, MonitorT *monitor,
-        OnlineCharacterizer *hazard, ThresholdController *threshold,
-        PipelineDampingController *damping, const CosimConfig &cfg,
-        const SupplyNetwork &network, const Volt low_fault,
-        const Volt high_fault, const Volt low_safe, const Volt high_safe,
-        CosimResult &result, double &current_sum)
+class ActionHistory
 {
-    constexpr std::uint64_t kChunk = 256;
-    ControlActions actions;
-    bool running = true;
-    while (running) {
-        std::uint64_t chunk = kChunk;
-        if (cfg.maxCycles != 0) {
-            if (result.cycles >= cfg.maxCycles)
-                break;
-            chunk = std::min<std::uint64_t>(chunk,
-                                            cfg.maxCycles - result.cycles);
-        }
-        for (std::uint64_t c = 0; c < chunk && running; ++c) {
-            // Actuation decided from cycle n-1 observations applies
-            // now.
-            processor.setStallIssue(actions.stallIssue);
-            processor.setInjectNoops(actions.injectNoops);
-
-            running = processor.step();
-            const Amp current = processor.lastCurrent();
-            const Volt true_voltage = supply.push(current);
-
-            ++result.cycles;
-            current_sum += current;
-            result.minVoltage = std::min(result.minVoltage, true_voltage);
-            result.maxVoltage = std::max(result.maxVoltage, true_voltage);
-            if (true_voltage < low_fault)
-                ++result.lowFaults;
-            if (true_voltage > high_fault)
-                ++result.highFaults;
-
-            // False positive: actuation asserted while the true
-            // voltage is comfortably inside the control band.
-            if ((actions.stallIssue && true_voltage > low_safe) ||
-                (actions.injectNoops && true_voltage < high_safe))
-                ++result.falsePositives;
-
-            if (monitor) {
-                Volt estimated = monitor->update(current, true_voltage);
-                if (hazard) {
-                    hazard->push(current);
-                    // Hazardous phase: behave as if the control band
-                    // were wider by biasing the estimate
-                    // pessimistically.
-                    if (hazard->currentHazard() > cfg.hazardArmLevel) {
-                        if (estimated < network.config().nominalVoltage)
-                            estimated -= cfg.adaptiveExtraTolerance;
-                        else
-                            estimated += cfg.adaptiveExtraTolerance;
-                    }
-                }
-                actions = threshold->decide(estimated);
-            } else if (damping) {
-                actions = damping->decide(current);
-            } else {
-                actions = ControlActions{};
-            }
-        }
+  public:
+    explicit ActionHistory(std::size_t max_delay)
+        : ring_(max_delay + 1)
+    {
     }
-}
+
+    /** @p delay must not exceed the max_delay of construction. */
+    const ControlActions &slot(std::size_t delay) const
+    {
+        const std::size_t index = head_ + delay;
+        return ring_[index < ring_.size() ? index : index - ring_.size()];
+    }
+
+    void push(const ControlActions &decided)
+    {
+        head_ = (head_ == 0 ? ring_.size() : head_) - 1;
+        ring_[head_] = decided;
+    }
+
+  private:
+    std::vector<ControlActions> ring_;
+    std::size_t head_ = 0;
+};
 
 } // namespace
+
+std::size_t
+resonantOctave(double period_cycles, std::size_t levels)
+{
+    // Level j spans [clock/2^(j+1), clock/2^j]; the resonant frequency
+    // clock/period lies in level floor(log2(period)), index one less.
+    const auto level = static_cast<std::size_t>(
+        std::floor(std::log2(std::max(2.0, period_cycles))));
+    return std::min(level - 1, levels - 1);
+}
 
 const char *
 controlSchemeName(ControlScheme scheme)
@@ -116,27 +78,31 @@ controlSchemeName(ControlScheme scheme)
 }
 
 CosimResult
-runClosedLoop(const BenchmarkProfile &profile, const ProcessorConfig &proc,
-              const PowerModelConfig &power, const SupplyNetwork &network,
-              const CosimConfig &cfg)
+runClosedLoop(std::span<const ChipWorkload> workloads,
+              const ProcessorConfig &proc, const PowerModelConfig &power,
+              const SupplyNetwork &network, const CosimConfig &cfg,
+              ChipConfig chip)
 {
+    if (cfg.scheme == ControlScheme::AdaptiveWavelet &&
+        cfg.hazardModel == nullptr)
+        throw std::invalid_argument(
+            "AdaptiveWavelet requires cfg.hazardModel");
+    if (cfg.seed != 0)
+        throw std::invalid_argument(
+            "cfg.seed is for the single-profile form; per-core seeds "
+            "come from ChipWorkload::seed");
     obs::ScopedTimer span(std::string("cosim ") +
                               controlSchemeName(cfg.scheme),
                           obs::Histogram{}, nullptr, "core");
-    SyntheticWorkload workload(profile, cfg.instructions, cfg.seed);
-    Processor processor(proc, power, workload);
-    SyntheticWorkload warm_source(profile, 0, cfg.seed + 0xDEADBEEF);
-    processor.warmupFootprint(workload.dataFootprint(),
-                              workload.codeFootprint());
-    processor.warmup(warm_source, 150000);
+    WarmedChip warmed(workloads, cfg.instructions, proc, power,
+                      std::move(chip));
+    Chip &machine = warmed.chip();
     SupplyStream supply(network);
 
     std::unique_ptr<VoltageMonitor> monitor;
     std::unique_ptr<OnlineCharacterizer> hazard;
     switch (cfg.scheme) {
       case ControlScheme::AdaptiveWavelet:
-        if (cfg.hazardModel == nullptr)
-            didt_fatal("AdaptiveWavelet requires cfg.hazardModel");
         hazard = std::make_unique<OnlineCharacterizer>(
             *cfg.hazardModel, network.lowFaultLevel() + 0.02,
             network.highFaultLevel() - 0.02);
@@ -166,6 +132,19 @@ runClosedLoop(const BenchmarkProfile &profile, const ProcessorConfig &proc,
             cfg.dampingWindow, cfg.dampingDelta);
     }
 
+    // Stagger stride: spread N actuation phases over one resonant
+    // period, so the per-core actuation current steps cancel at the
+    // resonance instead of adding. Core 0 is never delayed.
+    const std::size_t cores = workloads.size();
+    const double period_cycles =
+        network.config().clockHz / network.config().resonantHz;
+    const std::size_t stride =
+        cfg.staggered ? std::max<std::size_t>(
+                            1, static_cast<std::size_t>(period_cycles) /
+                                   cores)
+                      : 0;
+    ActionHistory history(stride * (cores - 1));
+
     CosimResult result;
     result.scheme = controlSchemeName(cfg.scheme);
     result.minVoltage = network.config().nominalVoltage;
@@ -175,12 +154,78 @@ runClosedLoop(const BenchmarkProfile &profile, const ProcessorConfig &proc,
     const Volt high_fault = network.highFaultLevel();
     const Volt low_safe = cfg.control.lowControl();
     const Volt high_safe = cfg.control.highControl();
+    const Cycle budget = cfg.maxCycles != 0
+                             ? cfg.maxCycles
+                             : std::numeric_limits<Cycle>::max();
 
+    CurrentTrace aggregate;
+    if (cfg.varianceLevels > 0 && cfg.maxCycles != 0)
+        reserveTraceCapacity(aggregate, cfg.maxCycles);
     double current_sum = 0.0;
-    const auto loop = [&](auto *concrete_monitor) {
-        runLoop(processor, supply, concrete_monitor, hazard.get(),
-                threshold.get(), damping.get(), cfg, network, low_fault,
-                high_fault, low_safe, high_safe, result, current_sum);
+
+    // The per-cycle loop, templated on the concrete monitor type: when
+    // MonitorT is one of the final monitor classes the compiler
+    // resolves monitor->update() statically and inlines it, removing
+    // the per-cycle virtual dispatch behind fig15/table2. Instantiated
+    // with the abstract VoltageMonitor when cfg.devirtualize is off,
+    // which reproduces the per-cycle virtual path. The body is
+    // identical either way, so results are bit-for-bit the same. The
+    // cycle that exhausts the instruction streams completes in full.
+    const auto loop = [&]<class MonitorT>(MonitorT *concrete_monitor) {
+        for (bool running = true; running && result.cycles < budget;) {
+            // Core i applies the decision from i*stride cycles ago,
+            // made from the observations of the cycle before.
+            for (std::size_t i = 0; i < cores; ++i) {
+                const ControlActions &applied = history.slot(i * stride);
+                machine.core(i).setStallIssue(applied.stallIssue);
+                machine.core(i).setInjectNoops(applied.injectNoops);
+            }
+            const ControlActions &lead = history.slot(0);
+
+            running = machine.step();
+            const Amp current = machine.lastAggregateCurrent();
+            const Volt true_voltage = supply.push(current);
+            if (cfg.varianceLevels > 0)
+                aggregate.push_back(current);
+
+            ++result.cycles;
+            current_sum += current;
+            result.minVoltage = std::min(result.minVoltage, true_voltage);
+            result.maxVoltage = std::max(result.maxVoltage, true_voltage);
+            if (true_voltage < low_fault)
+                ++result.lowFaults;
+            if (true_voltage > high_fault)
+                ++result.highFaults;
+
+            // False positive: the lead (undelayed) actuation asserted
+            // while the true voltage is comfortably inside the control
+            // band.
+            if ((lead.stallIssue && true_voltage > low_safe) ||
+                (lead.injectNoops && true_voltage < high_safe))
+                ++result.falsePositives;
+
+            ControlActions decided;
+            if (concrete_monitor) {
+                Volt estimated =
+                    concrete_monitor->update(current, true_voltage);
+                if (hazard) {
+                    hazard->push(current);
+                    // Hazardous phase: behave as if the control band
+                    // were wider by biasing the estimate
+                    // pessimistically.
+                    if (hazard->currentHazard() > cfg.hazardArmLevel) {
+                        if (estimated < network.config().nominalVoltage)
+                            estimated -= cfg.adaptiveExtraTolerance;
+                        else
+                            estimated += cfg.adaptiveExtraTolerance;
+                    }
+                }
+                decided = threshold->decide(estimated);
+            } else if (damping) {
+                decided = damping->decide(current);
+            }
+            history.push(decided);
+        }
     };
     if (!cfg.devirtualize) {
         loop(monitor.get());
@@ -204,8 +249,10 @@ runClosedLoop(const BenchmarkProfile &profile, const ProcessorConfig &proc,
         }
     }
 
-    result.committed = processor.stats().committed;
-    result.energyJ = processor.stats().totalEnergyJ;
+    for (std::size_t i = 0; i < cores; ++i) {
+        result.committed += machine.core(i).stats().committed;
+        result.energyJ += machine.core(i).stats().totalEnergyJ;
+    }
     result.meanCurrent =
         result.cycles ? current_sum / static_cast<double>(result.cycles)
                       : 0.0;
@@ -216,6 +263,15 @@ runClosedLoop(const BenchmarkProfile &profile, const ProcessorConfig &proc,
     } else if (damping) {
         result.controlCycles = damping->controlCycles();
         result.stallCycles = damping->controlCycles();
+    }
+
+    // Per-scale variance of the aggregate stimulus: the in-phase vs
+    // staggered contrast shows up as energy in the resonant octave.
+    if (cfg.varianceLevels > 0 && aggregate.size() >= 64) {
+        result.aggregateVariances = Modwt(WaveletBasis::haar())
+            .waveletVariance(aggregate, cfg.varianceLevels);
+        result.resonanceLevel = resonantOctave(
+            period_cycles, result.aggregateVariances.size());
     }
 
     if (obs::metricsEnabled()) {
@@ -231,6 +287,17 @@ runClosedLoop(const BenchmarkProfile &profile, const ProcessorConfig &proc,
         false_positives.add(result.falsePositives);
     }
     return result;
+}
+
+CosimResult
+runClosedLoop(const BenchmarkProfile &profile, const ProcessorConfig &proc,
+              const PowerModelConfig &power, const SupplyNetwork &network,
+              const CosimConfig &cfg)
+{
+    const ChipWorkload one{&profile, cfg.seed};
+    CosimConfig list_cfg = cfg;
+    list_cfg.seed = 0;
+    return runClosedLoop({&one, 1}, proc, power, network, list_cfg);
 }
 
 double

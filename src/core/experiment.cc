@@ -1,6 +1,7 @@
 #include "core/experiment.hh"
 
 #include <memory>
+#include <stdexcept>
 
 #include "power/stimulus.hh"
 #include "sim/processor.hh"
@@ -182,31 +183,26 @@ benchmarkCurrentTrace(const ExperimentSetup &setup,
     return trace;
 }
 
-TraceSet
-chipCurrentTrace(const ExperimentSetup &setup,
-                 const std::vector<ChipWorkload> &workloads,
-                 std::uint64_t instructions, std::size_t trim_warmup,
-                 ChipConfig chip, const SamplingConfig &sampling)
+WarmedChip::WarmedChip(std::span<const ChipWorkload> workloads,
+                       std::uint64_t instructions,
+                       const ProcessorConfig &proc,
+                       const PowerModelConfig &power, ChipConfig chip)
 {
     if (workloads.empty())
-        didt_fatal("chipCurrentTrace needs at least one workload");
+        throw std::invalid_argument(
+            "a chip run needs at least one workload");
     chip.cores = workloads.size();
-    chip.core = setup.proc;
+    chip.core = proc;
 
-    // Sources must outlive the chip: each Core keeps a reference.
-    std::vector<std::unique_ptr<SyntheticWorkload>> streams;
-    streams.reserve(workloads.size());
     std::vector<InstructionSource *> sources;
-    sources.reserve(workloads.size());
     for (const ChipWorkload &w : workloads) {
         if (w.profile == nullptr)
-            didt_fatal("chip workload has no profile");
-        streams.push_back(std::make_unique<SyntheticWorkload>(
+            throw std::invalid_argument("chip workload has no profile");
+        streams_.push_back(std::make_unique<SyntheticWorkload>(
             *w.profile, instructions, w.seed));
-        sources.push_back(streams.back().get());
+        sources.push_back(streams_.back().get());
     }
-
-    Chip machine(chip, setup.power, sources);
+    chip_ = std::make_unique<Chip>(chip, power, sources);
 
     // Per-core SimPoint-style warm start, identical to the
     // uniprocessor protocol in benchmarkCurrentTrace. Each core's
@@ -216,11 +212,24 @@ chipCurrentTrace(const ExperimentSetup &setup,
     for (std::size_t i = 0; i < workloads.size(); ++i) {
         SyntheticWorkload warm_source(*workloads[i].profile, 0,
                                       workloads[i].seed + 0xDEADBEEF);
-        machine.core(i).warmupFootprint(streams[i]->dataFootprint(),
-                                        streams[i]->codeFootprint());
-        machine.core(i).warmup(warm_source, 150000);
+        chip_->core(i).warmupFootprint(streams_[i]->dataFootprint(),
+                                       streams_[i]->codeFootprint());
+        chip_->core(i).warmup(warm_source, 150000);
     }
-    machine.clearSharedStats();
+    chip_->clearSharedStats();
+}
+
+WarmedChip::~WarmedChip() = default;
+
+TraceSet
+chipCurrentTrace(const ExperimentSetup &setup,
+                 const std::vector<ChipWorkload> &workloads,
+                 std::uint64_t instructions, std::size_t trim_warmup,
+                 ChipConfig chip, const SamplingConfig &sampling)
+{
+    WarmedChip warmed(workloads, instructions, setup.proc, setup.power,
+                      std::move(chip));
+    Chip &machine = warmed.chip();
 
     TraceSet set;
     const Cycle cap = 64 * instructions + 100000;

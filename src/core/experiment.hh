@@ -15,6 +15,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <span>
+#include <vector>
 
 #include "core/variance_model.hh"
 #include "power/supply_network.hh"
@@ -27,6 +30,8 @@
 
 namespace didt
 {
+
+class SyntheticWorkload;
 
 /** The standard experimental environment. */
 struct ExperimentSetup
@@ -134,12 +139,38 @@ struct ChipWorkload
 };
 
 /**
+ * A Chip running one SyntheticWorkload per core, each core warmed like
+ * benchmarkCurrentTrace (footprint touch plus a 150k-instruction warm
+ * stream), shared-L2 statistics cleared. It owns the streams the cores
+ * reference, so they outlive the chip.
+ */
+class WarmedChip
+{
+  public:
+    /**
+     * chip.cores and chip.core are overwritten from @p workloads and
+     * @p proc; @p instructions is the stream length per core.
+     * @throws std::invalid_argument on an empty list or a null profile
+     */
+    WarmedChip(std::span<const ChipWorkload> workloads,
+               std::uint64_t instructions, const ProcessorConfig &proc,
+               const PowerModelConfig &power, ChipConfig chip = {});
+    ~WarmedChip();
+
+    /** The warmed chip, ready for its first timed cycle. */
+    Chip &chip() { return *chip_; }
+
+  private:
+    std::vector<std::unique_ptr<SyntheticWorkload>> streams_;
+    std::unique_ptr<Chip> chip_; ///< destroyed before streams_
+};
+
+/**
  * Run a multi-program chip and return its per-core + aggregate current
- * traces. Each core gets the exact warm-up protocol of
- * benchmarkCurrentTrace (footprint touch plus 150k-instruction warm
- * stream), the run is capped identically, and the warm-up trim is
- * applied to the aggregate and every per-core trace alike — so a
- * 1-core chip reproduces benchmarkCurrentTrace bit-for-bit.
+ * traces. The chip is a WarmedChip, the run is capped like
+ * benchmarkCurrentTrace, and the warm-up trim is applied to the
+ * aggregate and every per-core trace alike — so a 1-core chip
+ * reproduces benchmarkCurrentTrace bit-for-bit.
  *
  * @param setup the experiment environment
  * @param workloads one profile+seed per core (size = core count)

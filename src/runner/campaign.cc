@@ -4,6 +4,7 @@
 
 #include "runner/executor.hh"
 #include "runner/plan.hh"
+#include "wavelet/basis.hh"
 
 namespace didt
 {
@@ -33,23 +34,50 @@ CampaignSpec::isChipSweep() const
 }
 
 bool
-CampaignSpec::checkGeometry(std::string *error) const
+CampaignSpec::validate(std::string *error) const
 {
-    if (windowLength == 0) {
-        *error = "spec field 'window' must be positive";
+    const auto reject = [error](std::string message) {
+        *error = std::move(message);
         return false;
-    }
-    if (levels == 0 || levels >= 64) {
-        *error = "spec field 'levels' must be in [1, 63], got " +
-                 std::to_string(levels);
-        return false;
-    }
-    if (windowLength % (std::size_t(1) << levels) != 0) {
-        *error = "spec field 'window' (" + std::to_string(windowLength) +
-                 ") must be divisible by 2^levels (2^" +
-                 std::to_string(levels) + ")";
-        return false;
-    }
+    };
+    if (impedanceScales.empty())
+        return reject("spec field 'impedance_scales' must not be empty");
+    for (double scale : impedanceScales)
+        if (!std::isfinite(scale) || scale <= 0.0)
+            return reject("spec field 'impedance_scales' must hold "
+                          "positive finite numbers");
+    if (windowLength == 0)
+        return reject("spec field 'window' must be positive");
+    if (levels == 0 || levels >= 64)
+        return reject("spec field 'levels' must be in [1, 63], got " +
+                      std::to_string(levels));
+    if (windowLength % (std::size_t(1) << levels) != 0)
+        return reject("spec field 'window' (" +
+                      std::to_string(windowLength) +
+                      ") must be divisible by 2^levels (2^" +
+                      std::to_string(levels) + ")");
+    if (!WaveletBasis::isKnownName(basis))
+        return reject("unknown wavelet basis '" + basis + "' (try " +
+                      WaveletBasis::knownNamesHint() + ")");
+    if (!(lowThreshold < highThreshold))
+        return reject("spec field 'low_threshold' must be below "
+                      "'high_threshold'");
+    if (!mixes.empty() && !profiles.empty())
+        return reject("spec fields 'benchmarks' and 'mixes' are "
+                      "mutually exclusive");
+    if (l2Banks == 0 || (l2Banks & (l2Banks - 1)) != 0)
+        return reject("spec field 'l2_banks' must be a power of two");
+    if (isSampled() && sampleDetail == 0)
+        return reject("spec field 'sample_detail' must be positive when "
+                      "'sample_skip' is set");
+    if (isSampled() && sampleWarmup > sampleSkip)
+        return reject("spec field 'sample_warmup' must not exceed "
+                      "'sample_skip'");
+    if (mcDraws > 100000)
+        return reject("spec field 'mc_draws' must not exceed 100000");
+    for (double sigma : {mcSigmaR, mcSigmaResonance, mcSigmaQ})
+        if (!(sigma >= 0.0 && sigma <= 1.0))
+            return reject("spec fields 'mc_sigma_*' must be in [0, 1]");
     return true;
 }
 

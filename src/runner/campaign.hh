@@ -133,14 +133,17 @@ struct CampaignSpec
     bool isChipSweep() const;
 
     /**
-     * The one check of the analysis geometry, shared by the JSON spec
-     * parser and the command-line spec builders: the window is
-     * positive, 1 <= levels < 64, and 2^levels divides the window.
-     * Fills @p error and returns false when the spec is rejected, so
-     * no spec reaches the variance model with a window the DWT cannot
-     * split.
+     * The one spec check, shared by the JSON spec parser, the
+     * command-line spec builders and Executor::run: at least one
+     * impedance scale, each finite and positive; a positive window
+     * that 2^levels divides, 1 <= levels < 64; a known basis;
+     * lowThreshold < highThreshold; benchmarks and mixes not both set;
+     * a power-of-two bank count; consistent sampling windows; at most
+     * 100000 Monte Carlo draws with sigmas in [0, 1]. Fills @p error
+     * and returns false when the spec is rejected, so no spec starts
+     * running that cannot finish.
      */
-    bool checkGeometry(std::string *error) const;
+    bool validate(std::string *error) const;
 
     /** True when trace sampling is active. */
     bool isSampled() const { return sampleSkip > 0; }

@@ -1,10 +1,12 @@
 #include "runner/executor.hh"
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <deque>
 #include <future>
 #include <optional>
+#include <stdexcept>
 
 #include "core/emergency_estimator.hh"
 #include "obs/metrics.hh"
@@ -273,6 +275,8 @@ Executor::calibratedScales(const CampaignSpec &spec)
 CampaignResult
 Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
 {
+    if (std::string error; !plan.spec.validate(&error))
+        throw std::invalid_argument("invalid campaign spec: " + error);
     const Clock::time_point campaign_start = Clock::now();
 
     // Attach this run's spans under the caller-provided context (the
@@ -475,6 +479,16 @@ Executor::run(const CampaignPlan &plan, const ExecutionHooks &hooks)
                     ep.measuredBelow = measured.measuredBelow;
                     ep.measuredAbove = measured.measuredAbove;
                     ep.measuredVariance = measured.measuredVariance;
+                    // The result JSON cannot carry a non-finite value
+                    // (a supply scaled far out of range overflows the
+                    // voltage), so such a cell fails with a reason.
+                    for (const double value :
+                         {ep.estimatedBelow, ep.measuredBelow,
+                          ep.estimatedAbove, ep.measuredAbove,
+                          ep.estimatedVariance, ep.measuredVariance})
+                        if (!std::isfinite(value))
+                            throw std::runtime_error(
+                                "non-finite cell result");
 
                     cell.traceCycles = trace->size();
                     cell.windows = ep.windows;

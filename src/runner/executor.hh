@@ -111,7 +111,9 @@ class Executor
     Executor &operator=(const Executor &) = delete;
 
     /** Evaluate every cell of @p plan; see runCharacterizationCampaign
-     *  for the result contract. */
+     *  for the result contract. A cell whose values are not finite is
+     *  a failed cell. @throws std::invalid_argument when the plan's
+     *  spec fails CampaignSpec::validate. */
     CampaignResult run(const CampaignPlan &plan,
                        const ExecutionHooks &hooks = {});
 

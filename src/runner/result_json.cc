@@ -7,7 +7,6 @@
 #include "stats/quantiles.hh"
 #include "util/csv.hh"
 #include "util/logging.hh"
-#include "wavelet/basis.hh"
 #include "workload/mix.hh"
 
 namespace didt
@@ -245,17 +244,12 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
         }
         parsed.impedanceScales.clear();
         for (const JsonValue &scale : scales->items()) {
-            if (scale.kind() != JsonValue::Kind::Number ||
-                scale.asNumber() <= 0.0) {
+            if (scale.kind() != JsonValue::Kind::Number) {
                 *error = "spec field 'impedance_scales' must hold "
-                         "positive numbers";
+                         "numbers";
                 return false;
             }
             parsed.impedanceScales.push_back(scale.asNumber());
-        }
-        if (parsed.impedanceScales.empty()) {
-            *error = "spec field 'impedance_scales' must not be empty";
-            return false;
         }
     }
     if (!readCount(json, "window", &parsed.windowLength, error) ||
@@ -264,16 +258,9 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
         !readCount(json, "seed", &parsed.seed, error) ||
         !readCount(json, "trim_warmup", &parsed.trimWarmup, error))
         return false;
-    if (!parsed.checkGeometry(error))
-        return false;
     if (const JsonValue *basis = json.find("basis")) {
         if (basis->kind() != JsonValue::Kind::String) {
             *error = "spec field 'basis' must be a string";
-            return false;
-        }
-        if (!WaveletBasis::isKnownName(basis->asString())) {
-            *error = "unknown wavelet basis '" + basis->asString() +
-                     "' (try " + WaveletBasis::knownNamesHint() + ")";
             return false;
         }
         parsed.basis = basis->asString();
@@ -325,37 +312,15 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
             }
             parsed.mixes.push_back(name.asString());
         }
-        if (!parsed.profiles.empty()) {
-            *error = "spec fields 'benchmarks' and 'mixes' are "
-                     "mutually exclusive";
-            return false;
-        }
     }
     if (!readCount(json, "l2_banks", &parsed.l2Banks, error) ||
         !readCount(json, "l2_bank_penalty", &parsed.l2BankPenalty,
                    error))
         return false;
-    if (parsed.l2Banks == 0 ||
-        (parsed.l2Banks & (parsed.l2Banks - 1)) != 0) {
-        *error = "spec field 'l2_banks' must be a power of two";
-        return false;
-    }
     if (!readCount(json, "sample_detail", &parsed.sampleDetail, error) ||
         !readCount(json, "sample_skip", &parsed.sampleSkip, error) ||
         !readCount(json, "sample_warmup", &parsed.sampleWarmup, error))
         return false;
-    if (parsed.isSampled()) {
-        if (parsed.sampleDetail == 0) {
-            *error = "spec field 'sample_detail' must be positive when "
-                     "'sample_skip' is set";
-            return false;
-        }
-        if (parsed.sampleWarmup > parsed.sampleSkip) {
-            *error = "spec field 'sample_warmup' must not exceed "
-                     "'sample_skip'";
-            return false;
-        }
-    }
     if (!readCount(json, "mc_draws", &parsed.mcDraws, error) ||
         !readCount(json, "mc_seed", &parsed.mcSeed, error) ||
         !readNumber(json, "mc_sigma_r", &parsed.mcSigmaR, error) ||
@@ -363,17 +328,8 @@ campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
                     &parsed.mcSigmaResonance, error) ||
         !readNumber(json, "mc_sigma_q", &parsed.mcSigmaQ, error))
         return false;
-    if (parsed.mcDraws > 100000) {
-        *error = "spec field 'mc_draws' must not exceed 100000";
+    if (!parsed.validate(error))
         return false;
-    }
-    for (double sigma : {parsed.mcSigmaR, parsed.mcSigmaResonance,
-                         parsed.mcSigmaQ}) {
-        if (sigma < 0.0 || sigma > 1.0) {
-            *error = "spec fields 'mc_sigma_*' must be in [0, 1]";
-            return false;
-        }
-    }
     *spec = std::move(parsed);
     return true;
 }

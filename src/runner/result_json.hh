@@ -33,11 +33,10 @@ JsonValue campaignSpecToJson(const CampaignSpec &spec);
  * Parse a campaign spec from the JSON object campaignSpecToJson
  * writes. Every field is optional and defaults to the CampaignSpec
  * default, so a request may carry only what it overrides. Never
- * panics: on a type mismatch, an unknown benchmark, an unknown
- * wavelet basis, or a window/levels pair CampaignSpec::checkGeometry
- * rejects it fills @p error and returns false, leaving @p spec
- * unspecified — the daemon turns that into a per-request error
- * response.
+ * panics: on a type mismatch, an unknown benchmark or mix, or a spec
+ * CampaignSpec::validate rejects it fills @p error and returns false,
+ * leaving @p spec unspecified — the daemon turns that into a
+ * per-request error response.
  */
 bool campaignSpecFromJson(const JsonValue &json, CampaignSpec *spec,
                           std::string *error);

@@ -138,18 +138,15 @@ Oracle::checkSampling(const BenchmarkProfile &profile,
 
     const SupplyNetwork network = setup_.makeNetwork(impedance_scale);
 
-    // Resonant-octave wavelet variance, the chip_cosim.cc recipe:
-    // level j spans [clock/2^(j+1), clock/2^j].
+    // Resonant-octave wavelet variance, as the closed loop reports it.
     const Modwt modwt(WaveletBasis::haar());
     const std::vector<double> full_var =
         modwt.waveletVariance(full, levels);
     const std::vector<double> sampled_var =
         modwt.waveletVariance(sampled, levels);
-    const double ratio =
-        network.config().clockHz / network.config().resonantHz;
-    const auto octave = static_cast<std::size_t>(
-        std::floor(std::log2(std::max(2.0, ratio))));
-    const std::size_t level = std::min(octave - 1, full_var.size() - 1);
+    const std::size_t level = resonantOctave(
+        network.config().clockHz / network.config().resonantHz,
+        full_var.size());
     report.fullResonanceVariance = full_var[level];
     report.sampledResonanceVariance = sampled_var[level];
     if (report.fullResonanceVariance > 0.0)

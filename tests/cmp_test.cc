@@ -13,15 +13,17 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/chip_cosim.hh"
 #include "core/cosim.hh"
 #include "core/experiment.hh"
+#include "obs/metrics.hh"
 #include "runner/campaign.hh"
 #include "runner/result_json.hh"
 #include "runner/trace_repository.hh"
@@ -140,42 +142,47 @@ TEST(ChipIdentity, OneCoreClosedLoopMatchesUniprocessorWavelet)
 {
     const ExperimentSetup &setup = sharedSetup();
     const BenchmarkProfile &profile = profileByName("gzip");
-    const SupplyNetwork network = setup.makeNetwork(1.2);
+    // At 2x the target impedance the wavelet controller actuates, and
+    // faults and false positives occur, so every counter is exercised.
+    const SupplyNetwork network = setup.makeNetwork(2.0);
 
-    CosimConfig uni_cfg;
-    uni_cfg.instructions = 20000;
-    uni_cfg.scheme = ControlScheme::Wavelet;
-    const CosimResult uni = runClosedLoop(profile, setup.proc,
-                                          setup.power, network, uni_cfg);
+    CosimConfig cfg;
+    cfg.instructions = 20000;
+    cfg.scheme = ControlScheme::Wavelet;
+    const CosimResult uni =
+        runClosedLoop(profile, setup.proc, setup.power, network, cfg);
 
-    ChipCosimConfig chip_cfg;
-    chip_cfg.instructions = 20000;
-    chip_cfg.scheme = ChipControlScheme::Independent;
-    const ChipCosimResult chip =
-        runChipClosedLoop({{&profile, 0}}, setup, network, chip_cfg);
+    // Golden values of the uniprocessor closed loop on a Processor,
+    // which the 1-core Chip must reproduce bit for bit: the Figure 15
+    // and Table 2 numbers rest on them.
+    const auto bits = [](double value) {
+        std::uint64_t out;
+        std::memcpy(&out, &value, sizeof(out));
+        return out;
+    };
+    EXPECT_EQ(uni.cycles, 14239u);
+    EXPECT_EQ(uni.committed, 20000u);
+    EXPECT_EQ(uni.lowFaults, 52u);
+    EXPECT_EQ(uni.highFaults, 0u);
+    EXPECT_EQ(uni.controlCycles, 369u);
+    EXPECT_EQ(uni.stallCycles, 369u);
+    EXPECT_EQ(uni.noopCycles, 0u);
+    EXPECT_EQ(uni.falsePositives, 97u);
+    EXPECT_EQ(bits(uni.minVoltage), 0x3fee0ed24ef331aeull);
+    EXPECT_EQ(bits(uni.maxVoltage), 0x3ff07a6f2d074a74ull);
+    EXPECT_EQ(bits(uni.meanCurrent), 0x404713e3f0f0b7f7ull);
+    EXPECT_EQ(bits(uni.energyJ), 0x3f2cb6bb61cded3bull);
 
-    EXPECT_EQ(chip.cores, 1u);
-    EXPECT_EQ(uni.cycles, chip.cycles);
-    EXPECT_EQ(uni.committed, chip.committed);
-    EXPECT_EQ(uni.lowFaults, chip.lowFaults);
-    EXPECT_EQ(uni.highFaults, chip.highFaults);
-    EXPECT_EQ(uni.controlCycles, chip.controlCycles);
-    EXPECT_EQ(uni.stallCycles, chip.stallCycles);
-    EXPECT_EQ(uni.noopCycles, chip.noopCycles);
-    EXPECT_EQ(uni.falsePositives, chip.falsePositives);
-    EXPECT_DOUBLE_EQ(uni.minVoltage, chip.minVoltage);
-    EXPECT_DOUBLE_EQ(uni.maxVoltage, chip.maxVoltage);
-    EXPECT_DOUBLE_EQ(uni.meanCurrent, chip.meanCurrent);
-    EXPECT_DOUBLE_EQ(uni.energyJ, chip.energyJ);
-
-    // Staggered degenerates to Independent on one core (stride delay
-    // of core 0 is zero).
-    chip_cfg.scheme = ChipControlScheme::Staggered;
-    const ChipCosimResult staggered =
-        runChipClosedLoop({{&profile, 0}}, setup, network, chip_cfg);
+    // Staggered actuation degenerates to lockstep on one core: core 0
+    // is never delayed.
+    const std::vector<ChipWorkload> one{{&profile, 0}};
+    cfg.staggered = true;
+    const CosimResult staggered =
+        runClosedLoop(one, setup.proc, setup.power, network, cfg);
     EXPECT_EQ(uni.cycles, staggered.cycles);
     EXPECT_EQ(uni.controlCycles, staggered.controlCycles);
-    EXPECT_DOUBLE_EQ(uni.minVoltage, staggered.minVoltage);
+    EXPECT_EQ(uni.falsePositives, staggered.falsePositives);
+    EXPECT_EQ(bits(uni.minVoltage), bits(staggered.minVoltage));
 }
 
 TEST(ChipIdentity, ExplicitSingleCoreCampaignJsonMatchesLegacy)
@@ -306,16 +313,17 @@ TEST(ChipPhysics, StaggeredActuationReducesResonanceBandVariance)
     // enough a trace for the wavelet variance to stabilise; a wider
     // tolerance would push the controller into near-continuous
     // throttling where phasing no longer matters.
-    ChipCosimConfig cfg;
+    CosimConfig cfg;
     cfg.instructions = 30000;
     cfg.control.tolerance = 0.030;
+    cfg.scheme = ControlScheme::Wavelet;
+    cfg.varianceLevels = 8;
 
-    cfg.scheme = ChipControlScheme::Independent;
-    const ChipCosimResult independent =
-        runChipClosedLoop(workloads, setup, network, cfg);
-    cfg.scheme = ChipControlScheme::Staggered;
-    const ChipCosimResult staggered =
-        runChipClosedLoop(workloads, setup, network, cfg);
+    const CosimResult independent =
+        runClosedLoop(workloads, setup.proc, setup.power, network, cfg);
+    cfg.staggered = true;
+    const CosimResult staggered =
+        runClosedLoop(workloads, setup.proc, setup.power, network, cfg);
 
     // The contrast is only meaningful when the controller actually
     // actuated: an idle controller makes the two schemes identical.
@@ -330,6 +338,58 @@ TEST(ChipPhysics, StaggeredActuationReducesResonanceBandVariance)
               independent.resonanceBandVariance());
     // Both controlled runs commit the full streams.
     EXPECT_EQ(independent.committed, staggered.committed);
+}
+
+TEST(ChipClosedLoop, BadWorkloadListsThrowTypedErrors)
+{
+    const ExperimentSetup &setup = sharedSetup();
+    const SupplyNetwork network = setup.makeNetwork(1.2);
+    CosimConfig cfg;
+    cfg.instructions = 500;
+    const std::vector<ChipWorkload> none;
+    EXPECT_THROW((void)runClosedLoop(none, setup.proc, setup.power,
+                                     network, cfg),
+                 std::invalid_argument);
+    const std::vector<ChipWorkload> null_profile{{nullptr, 0}};
+    EXPECT_THROW((void)runClosedLoop(null_profile, setup.proc,
+                                     setup.power, network, cfg),
+                 std::invalid_argument);
+    // cfg.seed belongs to the single-profile form only.
+    const BenchmarkProfile &profile = profileByName("gzip");
+    const std::vector<ChipWorkload> one{{&profile, 0}};
+    cfg.seed = 3;
+    EXPECT_THROW((void)runClosedLoop(one, setup.proc, setup.power,
+                                     network, cfg),
+                 std::invalid_argument);
+}
+
+double
+counterValue(const char *name)
+{
+    const obs::MetricsSnapshot snap =
+        obs::MetricsRegistry::global().snapshot();
+    const obs::MetricSnapshot *metric = snap.find(name);
+    return metric ? metric->value : 0.0;
+}
+
+TEST(ChipClosedLoop, MultiCoreRunFlushesControllerCounters)
+{
+    const ExperimentSetup &setup = sharedSetup();
+    const SupplyNetwork network = setup.makeNetwork(1.5);
+    const WorkloadMix mix = mixByName("inphase-mgrid");
+    std::vector<ChipWorkload> workloads;
+    for (std::size_t i = 0; i < 2; ++i)
+        workloads.push_back(
+            {&mixProfileForCore(mix, i), mixCoreSeed(mix, 0, i)});
+    CosimConfig cfg;
+    cfg.instructions = 20000;
+
+    const double before = counterValue("controller.low_faults");
+    const CosimResult r =
+        runClosedLoop(workloads, setup.proc, setup.power, network, cfg);
+    ASSERT_GT(r.lowFaults, 0u);
+    EXPECT_EQ(counterValue("controller.low_faults") - before,
+              static_cast<double>(r.lowFaults));
 }
 
 TEST(ChipDeterminism, NCoreStepSequenceReproducible)

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -313,9 +314,9 @@ TEST(AdaptiveControl, SchemeNameAndModelRequirement)
     cfg.instructions = 500;
     cfg.scheme = ControlScheme::AdaptiveWavelet;
     cfg.hazardModel = nullptr;
-    EXPECT_EXIT((void)runClosedLoop(profileByName("gzip"), setup.proc,
-                                    setup.power, net, cfg),
-                ::testing::ExitedWithCode(1), "hazardModel");
+    EXPECT_THROW((void)runClosedLoop(profileByName("gzip"), setup.proc,
+                                     setup.power, net, cfg),
+                 std::invalid_argument);
 }
 
 TEST(AdaptiveControl, ReducesFaultsVsOptimisticFixed)

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -328,6 +329,60 @@ TEST(Campaign, ResultShapeAndCacheReuse)
     // A higher target impedance strictly degrades the voltage.
     EXPECT_GT(result.cells[1].measuredVariance,
               result.cells[0].measuredVariance);
+}
+
+TEST(Campaign, OutOfRangeScaleBecomesFailedCellNotAPanic)
+{
+    // 1e300 is a valid positive scale, but the supply it builds
+    // overflows the voltage: the cell must fail with a reason and the
+    // writer must still produce a parseable document.
+    CampaignSpec spec = tinySpec();
+    spec.profiles.resize(1);
+    spec.impedanceScales = {1.0, 1e300};
+    TraceRepository repo(sharedSetup());
+    const CampaignResult result =
+        runCharacterizationCampaign(sharedSetup(), spec, repo, 2);
+
+    ASSERT_EQ(result.cells.size(), 2u);
+    EXPECT_FALSE(result.cells[0].failed);
+    EXPECT_TRUE(result.cells[1].failed);
+    EXPECT_NE(result.cells[1].error.find("non-finite"), std::string::npos)
+        << result.cells[1].error;
+    EXPECT_EQ(result.failedCells(), 1u);
+    const JsonValue doc = campaignToJson(result);
+    EXPECT_TRUE(parseJson(doc.dump()) == doc);
+}
+
+TEST(Campaign, ValidateRejectsReversedThresholdsAndBadScales)
+{
+    std::string error;
+    ASSERT_TRUE(tinySpec().validate(&error)) << error;
+
+    CampaignSpec reversed = tinySpec();
+    reversed.lowThreshold = 1.05;
+    reversed.highThreshold = 0.9;
+    EXPECT_FALSE(reversed.validate(&error));
+    EXPECT_NE(error.find("low_threshold"), std::string::npos) << error;
+    CampaignSpec parsed;
+    EXPECT_FALSE(
+        campaignSpecFromJson(campaignSpecToJson(reversed), &parsed, &error));
+    TraceRepository repo(sharedSetup());
+    EXPECT_THROW(
+        runCharacterizationCampaign(sharedSetup(), reversed, repo, 1),
+        std::invalid_argument);
+
+    for (const double scale :
+         {0.0, -1.0, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()}) {
+        CampaignSpec bad = tinySpec();
+        bad.impedanceScales = {1.0, scale};
+        EXPECT_FALSE(bad.validate(&error)) << scale;
+        EXPECT_NE(error.find("impedance_scales"), std::string::npos)
+            << error;
+    }
+    CampaignSpec empty = tinySpec();
+    empty.impedanceScales.clear();
+    EXPECT_FALSE(empty.validate(&error));
 }
 
 /** campaign.estimate_passes so far in this process. */

@@ -659,6 +659,38 @@ TEST(Server, BadGeometrySpecGetsTypedErrorAndDaemonSurvives)
     server.wait();
 }
 
+TEST(Server, OutOfRangeScaleGetsFailedCellAndDaemonSurvives)
+{
+    serve::ServerConfig config;
+    config.unixPath = testSocketPath("huge");
+    config.jobs = 1;
+    serve::Server server(sharedSetup(), config);
+    std::string error;
+    ASSERT_TRUE(server.start(&error)) << error;
+
+    // The same spec as `didt_client characterize --impedances 1e300`:
+    // the cell's voltage overflows, so it comes back failed instead of
+    // taking the daemon down in the JSON writer.
+    CampaignSpec spec = smallSpec();
+    spec.profiles.resize(1);
+    spec.impedanceScales = {1e300};
+    const JsonValue response = parseResponse(
+        callServer(config.unixPath,
+                   serve::characterizeRequestJson(
+                       "h1", campaignSpecToJson(spec))));
+    ASSERT_EQ(response.find("type")->asString(), "result")
+        << response.dump();
+    const JsonValue &cells = *response.find("result")->find("cells");
+    ASSERT_EQ(cells.items().size(), 1u);
+    EXPECT_TRUE(cells.items()[0].find("failed")->asBool());
+
+    const JsonValue pong = parseResponse(
+        callServer(config.unixPath, serve::pingRequestJson("h2")));
+    EXPECT_EQ(pong.find("type")->asString(), "pong");
+    server.requestStop();
+    server.wait();
+}
+
 TEST(Server, PongAdvertisesTelemetryFeatures)
 {
     serve::ServerConfig config;

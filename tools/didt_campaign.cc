@@ -175,8 +175,6 @@ main(int argc, char **argv)
         mixByName(name); // fatal on unknown names, with suggestions
         spec.mixes.push_back(name);
     }
-    if (!spec.mixes.empty() && !spec.profiles.empty())
-        didt_fatal("--benchmarks and --mix are mutually exclusive");
     for (const std::string &count : splitList(opts.get("cores"))) {
         std::size_t consumed = 0;
         unsigned long value = 0;
@@ -192,8 +190,6 @@ main(int argc, char **argv)
     spec.l2Banks = static_cast<std::size_t>(opts.getInt("l2-banks"));
     spec.l2BankPenalty =
         static_cast<std::size_t>(opts.getInt("l2-bank-penalty"));
-    if (spec.l2Banks == 0 || (spec.l2Banks & (spec.l2Banks - 1)) != 0)
-        didt_fatal("--l2-banks must be a power of two");
     spec.impedanceScales.clear();
     for (const std::string &scale : splitList(opts.get("impedances"))) {
         std::size_t consumed = 0;
@@ -203,16 +199,12 @@ main(int argc, char **argv)
         } catch (const std::exception &) {
             consumed = 0;
         }
-        if (consumed != scale.size() || value <= 0.0)
+        if (consumed != scale.size())
             didt_fatal("--impedances: bad scale '" + scale + "'");
         spec.impedanceScales.push_back(value);
     }
-    if (spec.impedanceScales.empty())
-        didt_fatal("--impedances must name at least one scale");
     spec.windowLength = static_cast<std::size_t>(opts.getInt("window"));
     spec.levels = static_cast<std::size_t>(opts.getInt("levels"));
-    if (std::string error; !spec.checkGeometry(&error))
-        didt_fatal("--window/--levels: ", error);
     spec.basis = opts.get("basis");
     spec.lowThreshold = opts.getDouble("low");
     spec.highThreshold = opts.getDouble("high");
@@ -225,24 +217,15 @@ main(int argc, char **argv)
     spec.sampleSkip = static_cast<Cycle>(opts.getInt("sample-skip"));
     spec.sampleWarmup =
         static_cast<Cycle>(opts.getInt("sample-warmup"));
-    if (spec.isSampled()) {
-        if (spec.sampleDetail == 0)
-            didt_fatal("--sample-skip requires --sample-detail > 0");
-        if (spec.sampleWarmup > spec.sampleSkip)
-            didt_fatal("--sample-warmup must not exceed --sample-skip");
-    }
     spec.mcDraws = static_cast<std::size_t>(opts.getInt("mc-draws"));
     if (spec.isMonteCarlo()) {
         spec.mcSeed = static_cast<std::uint64_t>(opts.getInt("mc-seed"));
         spec.mcSigmaR = opts.getDouble("mc-sigma");
         spec.mcSigmaResonance = spec.mcSigmaR;
         spec.mcSigmaQ = opts.getDouble("mc-sigma-q");
-        if (spec.mcDraws > 100000)
-            didt_fatal("--mc-draws must not exceed 100000");
-        for (double sigma : {spec.mcSigmaR, spec.mcSigmaQ})
-            if (sigma < 0.0 || sigma > 1.0)
-                didt_fatal("--mc-sigma/--mc-sigma-q must be in [0, 1]");
     }
+    if (std::string error; !spec.validate(&error))
+        didt_fatal("invalid campaign spec: ", error);
     const std::vector<std::string> bases = splitList(opts.get("bases"));
     for (const std::string &name : bases)
         if (!WaveletBasis::isKnownName(name))

@@ -182,12 +182,10 @@ specFromOptions(const Options &opts)
         } catch (const std::exception &) {
             consumed = 0;
         }
-        if (consumed != scale.size() || value <= 0.0)
+        if (consumed != scale.size())
             didt_fatal("--impedances: bad scale '" + scale + "'");
         spec.impedanceScales.push_back(value);
     }
-    if (spec.impedanceScales.empty())
-        didt_fatal("--impedances must name at least one scale");
     spec.windowLength = static_cast<std::size_t>(opts.getInt("window"));
     spec.levels = static_cast<std::size_t>(opts.getInt("levels"));
     spec.basis = opts.get("basis");
@@ -197,6 +195,8 @@ specFromOptions(const Options &opts)
     spec.instructions =
         static_cast<std::uint64_t>(opts.getInt("instructions"));
     spec.seed = static_cast<std::uint64_t>(opts.getInt("seed"));
+    if (std::string error; !spec.validate(&error))
+        didt_fatal("invalid campaign spec: ", error);
     return campaignSpecToJson(spec);
 }
 
@@ -243,7 +243,12 @@ renderWatchLine(const JsonValue &stats, double seq, bool tty)
 JsonValue
 specFromFile(const std::string &path)
 {
-    const JsonValue doc = readJsonFile(path);
+    JsonValue doc;
+    try {
+        doc = readJsonFile(path);
+    } catch (const std::exception &e) {
+        didt_fatal(path, ": ", e.what());
+    }
     if (doc.kind() != JsonValue::Kind::Object)
         didt_fatal(path, ": expected a JSON object");
     if (const JsonValue *schema = doc.find("schema")) {
